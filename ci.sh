@@ -103,6 +103,12 @@ cargo test -q
 echo "==> cargo test --features parallel"
 cargo test -q --features parallel
 
+# Benchmark smoke: e2ebench is a workspace of its own, so the root build
+# never compiles it. Its toy-size tests drive the public platform API it
+# benchmarks; a core API change that breaks the benchmark fails here.
+echo "==> e2ebench smoke tests"
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Chaos seed sweep: quick mode pins an 8-seed threaded matrix (the DES
 # side always runs all 32 seeds); CHAOS_FULL=1 widens the threaded
 # matrix to 32. Failures print the offending (seed, plan) JSON line —

@@ -142,6 +142,8 @@ pub enum FaultCounter {
 pub enum Action {
     /// Send `msg` to agent `to` (possibly on another host).
     Send { to: AgentId, msg: Message },
+    /// Hand `msg` out of the world through its external outbox.
+    Emit { msg: Message },
     /// Create a new agent on the local host with pre-allocated id.
     Create { id: AgentId, agent: Box<dyn Agent> },
     /// Create an agent on the local host by rehydrating `state` through
@@ -339,6 +341,16 @@ impl<'a> Ctx<'a> {
             Some(from) => self.send(from, msg.replying_to(original)),
             None => self.note("reply dropped: original message had no sender"),
         }
+    }
+
+    /// Hand `msg` to whoever drives the world from outside (a browser, a
+    /// test harness) by appending it to the world's external outbox; the
+    /// driver collects it with `take_emitted`. The `from` field is stamped
+    /// with the calling agent's id. Emitting is not a message send: it
+    /// touches neither the metrics nor the trace.
+    pub fn emit(&mut self, mut msg: Message) {
+        msg.from = Some(self.self_id);
+        self.actions.push(Action::Emit { msg });
     }
 
     /// Create `agent` on the local host. Returns the new agent's id

@@ -278,6 +278,9 @@ pub struct SimWorld {
     /// no detector events and takes no recovery seams: traces stay
     /// byte-identical and every supervision counter stays zero.
     supervision: Option<SupervisionState>,
+    /// External outbox: every `(sender, message)` an agent emitted through
+    /// [`Ctx::emit`], in emission order, until [`SimWorld::take_emitted`].
+    emitted: Vec<(AgentId, Message)>,
 }
 
 impl SimWorld {
@@ -316,6 +319,7 @@ impl SimWorld {
             boundary: None,
             durability: None,
             supervision: None,
+            emitted: Vec::new(),
         }
     }
 
@@ -682,6 +686,12 @@ impl SimWorld {
     /// Mutable trace access (e.g. to clear between bench iterations).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
+    }
+
+    /// Hand over every `(sender, message)` emitted through [`Ctx::emit`]
+    /// since the last call, in emission order, leaving the outbox empty.
+    pub fn take_emitted(&mut self) -> Vec<(AgentId, Message)> {
+        std::mem::take(&mut self.emitted)
     }
 
     /// The telemetry sink: request span trees and the metrics registry.
@@ -1605,6 +1615,7 @@ impl SimWorld {
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.do_send(host, to, msg),
+                Action::Emit { msg } => self.emitted.push((actor, msg)),
                 Action::Create { id, agent } => {
                     let h = self.hosts.get_mut(&host).expect("actor host exists");
                     h.active.insert(id, agent);

@@ -148,6 +148,10 @@ struct Shared {
     supervision: Option<Mutex<Supervisor>>,
     /// Tells the supervisor thread to exit at shutdown.
     supervisor_stop: AtomicBool,
+    /// External outbox: every `(sender, message)` emitted through
+    /// [`Ctx::emit`], in the order host threads applied them, until
+    /// [`ThreadWorld::take_emitted`].
+    emitted: Mutex<Vec<(AgentId, Message)>>,
 }
 
 impl Shared {
@@ -417,6 +421,7 @@ impl ThreadWorldBuilder {
             durability: self.durability,
             supervision: self.supervision.map(|cfg| Mutex::new(Supervisor::new(cfg))),
             supervisor_stop: AtomicBool::new(false),
+            emitted: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::new();
         let mut hosts = Vec::new();
@@ -713,6 +718,13 @@ impl ThreadWorld {
     /// Whether `host` is currently wedged by a hang fault.
     pub fn host_hung(&self, host: HostId) -> bool {
         self.shared.chaos.lock().hung.contains(&host)
+    }
+
+    /// Hand over every `(sender, message)` emitted through [`Ctx::emit`]
+    /// since the last call, leaving the outbox empty. Emissions from
+    /// different hosts interleave in wall-clock order.
+    pub fn take_emitted(&self) -> Vec<(AgentId, Message)> {
+        std::mem::take(&mut *self.shared.emitted.lock())
     }
 
     /// Block until no envelopes are in flight (the world is quiescent) or
@@ -1864,6 +1876,7 @@ fn apply_actions(host: &mut HostState, shared: &Arc<Shared>, actor: AgentId, act
                     shared2.in_flight.fetch_sub(1, Ordering::SeqCst);
                 });
             }
+            Action::Emit { msg } => shared.emitted.lock().push((actor, msg)),
             Action::SetDeadline { deadline } => host.current_deadline = deadline,
             Action::Note { label } => {
                 if host.current_trace.is_some() {

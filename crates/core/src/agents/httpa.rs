@@ -5,9 +5,14 @@
 //! the aglet message between Web interface and agent or mobile agent."*
 //!
 //! The "browser" is modelled as external messages injected with
-//! [`agentsim::sim::SimWorld::send_external`]; responses accumulate in
-//! the HttpA's state, where the driving harness reads them back — the
-//! same request/translate/respond path a servlet front would take.
+//! [`agentsim::sim::SimWorld::send_external`]. Each answer leaves the
+//! world as one [`kinds::FRONT_RESPONSE`] message carrying a
+//! [`FrontResponse`], emitted through the world's external outbox
+//! ([`Ctx::emit`]); the driving harness collects it with
+//! [`agentsim::sim::SimWorld::take_emitted`] — the same
+//! request/translate/respond path a servlet front would take. The HttpA
+//! only translates: its state holds in-flight requests, never a history
+//! of answers, so it stays the same size however long it serves.
 
 use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionVerdict, Priority};
 use crate::agents::msg::{
@@ -28,8 +33,6 @@ pub const HTTPA_TYPE: &str = "httpa";
 #[derive(Debug, Serialize, Deserialize)]
 pub struct HttpAgent {
     bsma: AgentId,
-    responses: Vec<FrontResponse>,
-    requests_seen: u32,
     /// Ingress admission gate; `None` (the default) admits everything.
     #[serde(default)]
     admission: Option<AdmissionGate>,
@@ -49,8 +52,6 @@ impl HttpAgent {
     pub fn new(bsma: AgentId) -> Self {
         HttpAgent {
             bsma,
-            responses: Vec::new(),
-            requests_seen: 0,
             admission: None,
             deadline_us: 0,
             inflight: Vec::new(),
@@ -70,16 +71,6 @@ impl HttpAgent {
         self
     }
 
-    /// Responses delivered so far (the browser's view).
-    pub fn responses(&self) -> &[FrontResponse] {
-        &self.responses
-    }
-
-    /// Number of front requests processed.
-    pub fn requests_seen(&self) -> u32 {
-        self.requests_seen
-    }
-
     /// Priority class of a front request: transactions are shed last,
     /// session management first.
     fn class_of(body: &FrontRequestBody) -> Priority {
@@ -95,6 +86,14 @@ impl HttpAgent {
     fn settle(&mut self, consumer: ConsumerId) -> Option<u64> {
         let pos = self.inflight.iter().position(|(c, _)| *c == consumer)?;
         Some(self.inflight.remove(pos).1)
+    }
+
+    /// Answer the browser: emit `body` for `consumer` out of the world.
+    fn respond(ctx: &mut Ctx<'_>, consumer: ConsumerId, body: ResponseBody) {
+        let msg = Message::new(kinds::FRONT_RESPONSE)
+            .with_payload(&FrontResponse { consumer, body })
+            .expect("front response serializes");
+        ctx.emit(msg);
     }
 }
 
@@ -114,7 +113,6 @@ impl Agent for HttpAgent {
                     ctx.note("httpa: malformed front request");
                     return;
                 };
-                self.requests_seen += 1;
                 if let Some(gate) = &mut self.admission {
                     let class = Self::class_of(&req.body);
                     let verdict = gate.try_admit(ctx.now().as_micros(), class);
@@ -124,10 +122,11 @@ impl Agent for HttpAgent {
                             "httpa: shed {class:?} request from consumer {} (retry in {retry_after_us} us)",
                             req.consumer.0
                         ));
-                        self.responses.push(FrontResponse {
-                            consumer: req.consumer,
-                            body: ResponseBody::Overloaded { retry_after_us },
-                        });
+                        Self::respond(
+                            ctx,
+                            req.consumer,
+                            ResponseBody::Overloaded { retry_after_us },
+                        );
                         return;
                     }
                 }
@@ -179,27 +178,22 @@ impl Agent for HttpAgent {
             }
             kinds::SESSION_OPEN => {
                 if let Ok(open) = msg.payload_as::<SessionOpen>() {
-                    self.responses.push(FrontResponse {
-                        consumer: open.consumer,
-                        body: ResponseBody::LoggedIn,
-                    });
+                    Self::respond(ctx, open.consumer, ResponseBody::LoggedIn);
                 }
             }
             kinds::SESSION_CLOSED => {
                 if let Ok(req) = msg.payload_as::<SessionRequest>() {
-                    self.responses.push(FrontResponse {
-                        consumer: req.consumer,
-                        body: ResponseBody::LoggedOut,
-                    });
+                    Self::respond(ctx, req.consumer, ResponseBody::LoggedOut);
                 }
             }
             kinds::NO_SESSION => {
                 if let Ok(req) = msg.payload_as::<SessionRequest>() {
                     self.settle(req.consumer);
-                    self.responses.push(FrontResponse {
-                        consumer: req.consumer,
-                        body: ResponseBody::Error("not logged in".into()),
-                    });
+                    Self::respond(
+                        ctx,
+                        req.consumer,
+                        ResponseBody::Error("not logged in".into()),
+                    );
                 }
             }
             kinds::BRA_RESPONSE => {
@@ -210,10 +204,7 @@ impl Agent for HttpAgent {
                             ctx.now().as_micros().saturating_sub(started_us),
                         );
                     }
-                    self.responses.push(FrontResponse {
-                        consumer: resp.consumer,
-                        body: resp.body,
-                    });
+                    Self::respond(ctx, resp.consumer, resp.body);
                 }
             }
             other => {
@@ -230,10 +221,11 @@ impl Agent for HttpAgent {
             ctx.note(format!(
                 "httpa: request from consumer {tag} missed its deadline with no reply"
             ));
-            self.responses.push(FrontResponse {
+            Self::respond(
+                ctx,
                 consumer,
-                body: ResponseBody::Error("request deadline exceeded".into()),
-            });
+                ResponseBody::Error("request deadline exceeded".into()),
+            );
         }
     }
 }
@@ -245,13 +237,11 @@ mod tests {
 
     #[test]
     fn httpa_state_round_trips() {
-        let mut h = HttpAgent::new(AgentId(5));
-        h.responses.push(FrontResponse {
-            consumer: ConsumerId(1),
-            body: ResponseBody::LoggedIn,
-        });
+        let mut h = HttpAgent::new(AgentId(5)).with_deadline_us(700);
+        h.inflight.push((ConsumerId(1), 42));
         let back: HttpAgent = serde_json::from_value(h.snapshot()).unwrap();
-        assert_eq!(back.responses().len(), 1);
         assert_eq!(back.bsma, AgentId(5));
+        assert_eq!(back.deadline_us, 700);
+        assert_eq!(back.inflight, vec![(ConsumerId(1), 42)]);
     }
 }

@@ -15,6 +15,9 @@ use serde::{Deserialize, Serialize};
 pub mod kinds {
     /// Browser → HttpA: a front request ([`super::FrontRequest`]).
     pub const FRONT_REQUEST: &str = "front-request";
+    /// HttpA → browser: a front response ([`super::FrontResponse`]),
+    /// emitted through the world's external outbox.
+    pub const FRONT_RESPONSE: &str = "front-response";
 
     /// HttpA → BSMA: log a consumer in (create their BRA).
     pub const LOGIN: &str = "login";
@@ -173,7 +176,8 @@ pub enum FrontRequestBody {
     Task(ConsumerTask),
 }
 
-/// Response delivered to the consumer's browser (read from HttpA state).
+/// Response delivered to the consumer's browser (emitted by the HttpA as a
+/// [`kinds::FRONT_RESPONSE`] message).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrontResponse {
     /// Consumer the response is for.

@@ -5,9 +5,9 @@
 //! Seller Servers, and a Buyer Agent Server provisioned through the
 //! Coordinator exactly as Fig 4.1 describes. It then exposes
 //! browser-level operations (`login`, `query`, `buy`, `auction`,
-//! `logout`) that inject [`FrontRequest`]s at the HttpA and read back the
-//! [`FrontResponse`]s — every hop in between is real agent traffic on the
-//! simulated network.
+//! `logout`) that inject [`FrontRequest`]s at the HttpA and collect the
+//! [`FrontResponse`]s it emits through the world's external outbox — every
+//! hop in between is real agent traffic on the simulated network.
 
 use crate::admission::AdmissionConfig;
 use crate::agents::msg::{
@@ -318,8 +318,46 @@ impl PlatformBuilder {
             httpa,
             pa,
             markets,
-            responses_read: 0,
+            inbox: FrontInbox::default(),
         }
+    }
+}
+
+/// Front responses taken out of a world's external outbox but not yet
+/// handed to the caller. A per-consumer call takes only that consumer's
+/// replies; everyone else's wait here for their own call or the next
+/// `run_and_drain`, so no reply is ever dropped.
+#[derive(Debug, Default)]
+struct FrontInbox {
+    pending: Vec<FrontResponse>,
+}
+
+impl FrontInbox {
+    /// Move every front response `world` emitted since the last call into
+    /// the inbox, in emission order. Only the HttpA emits.
+    fn collect(&mut self, world: &mut SimWorld) {
+        self.pending
+            .extend(world.take_emitted().into_iter().map(|(_, msg)| {
+                msg.payload_as::<FrontResponse>()
+                    .expect("front response parses")
+            }));
+    }
+
+    /// Take `consumer`'s replies, in arrival order; keep the rest.
+    fn take_for(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
+        let (mine, rest): (Vec<FrontResponse>, _) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|r| r.consumer == consumer);
+        self.pending = rest;
+        mine.into_iter().map(|r| r.body).collect()
+    }
+
+    /// Take every waiting reply as `(consumer, body)` pairs.
+    fn take_all(&mut self) -> Vec<(ConsumerId, ResponseBody)> {
+        self.pending
+            .drain(..)
+            .map(|r| (r.consumer, r.body))
+            .collect()
     }
 }
 
@@ -332,7 +370,7 @@ pub struct Platform {
     httpa: AgentId,
     pa: AgentId,
     markets: Vec<MarketRef>,
-    responses_read: usize,
+    inbox: FrontInbox,
 }
 
 impl Platform {
@@ -402,20 +440,11 @@ impl Platform {
             .expect("httpa reachable");
     }
 
-    /// Drain responses addressed to `consumer` that arrived since the
-    /// last call.
+    /// Drain the responses addressed to `consumer` that are not yet
+    /// drained; other consumers' replies wait for their own drain.
     fn drain_responses(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        let snapshot = self.world.snapshot_of(self.httpa).expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<ResponseBody> = all[self.responses_read.min(all.len())..]
-            .iter()
-            .filter(|r| r.consumer == consumer)
-            .map(|r| r.body.clone())
-            .collect();
-        self.responses_read = all.len();
-        fresh
+        self.inbox.collect(&mut self.world);
+        self.inbox.take_for(consumer)
     }
 
     fn run_task(&mut self, consumer: ConsumerId, body: FrontRequestBody) -> Vec<ResponseBody> {
@@ -574,20 +603,12 @@ impl Platform {
         });
     }
 
-    /// Run the world to idle, then return every fresh response as
-    /// `(consumer, body)` pairs.
+    /// Run the world to idle, then return every response not yet drained
+    /// as `(consumer, body)` pairs, in arrival order.
     pub fn run_and_drain(&mut self) -> Vec<(ConsumerId, ResponseBody)> {
         self.world.run_until_idle();
-        let snapshot = self.world.snapshot_of(self.httpa).expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<(ConsumerId, ResponseBody)> = all[self.responses_read.min(all.len())..]
-            .iter()
-            .map(|r| (r.consumer, r.body.clone()))
-            .collect();
-        self.responses_read = all.len();
-        fresh
+        self.inbox.collect(&mut self.world);
+        self.inbox.take_all()
     }
 
     /// Seed the PA's UserDB offline with behaviour history (population
@@ -916,7 +937,6 @@ impl ShardedPlatformBuilder {
                 bsma,
                 httpa: state.httpa().expect("httpa created"),
                 pa: state.pa().expect("pa created"),
-                responses_read: 0,
             });
         }
 
@@ -931,19 +951,19 @@ impl ShardedPlatformBuilder {
             coordinator,
             markets,
             stacks,
+            inbox: FrontInbox::default(),
         }
     }
 }
 
 /// One shard's buyer-side stack (Buyer Agent Server host, BSMA, HttpA,
-/// PA) plus its front-door response cursor.
+/// PA).
 #[derive(Debug, Clone, Copy)]
 struct BuyerStack {
     buyer_host: HostId,
     bsma: AgentId,
     httpa: AgentId,
     pa: AgentId,
-    responses_read: usize,
 }
 
 /// A platform whose buyer side is partitioned across parallel DES shards.
@@ -957,6 +977,7 @@ pub struct ShardedPlatform {
     coordinator: AgentId,
     markets: Vec<MarketRef>,
     stacks: Vec<BuyerStack>,
+    inbox: FrontInbox,
 }
 
 impl ShardedPlatform {
@@ -1025,26 +1046,19 @@ impl ShardedPlatform {
             .expect("httpa reachable");
     }
 
-    /// Drain responses addressed to `consumer` that arrived at its
-    /// shard's HttpA since the last call.
+    /// Move every shard's emitted front responses into the inbox, in
+    /// shard order.
+    fn collect_responses(&mut self) {
+        for k in 0..self.stacks.len() {
+            self.inbox.collect(self.world.shard_mut(k));
+        }
+    }
+
+    /// Drain the responses addressed to `consumer` that are not yet
+    /// drained; other consumers' replies wait for their own drain.
     fn drain_responses(&mut self, consumer: ConsumerId) -> Vec<ResponseBody> {
-        let shard = self.shard_of(consumer);
-        let stack = &mut self.stacks[shard];
-        let snapshot = self
-            .world
-            .shard(shard)
-            .snapshot_of(stack.httpa)
-            .expect("httpa active");
-        let state: crate::agents::HttpAgent =
-            serde_json::from_value(snapshot).expect("httpa state parses");
-        let all: Vec<FrontResponse> = state.responses().to_vec();
-        let fresh: Vec<ResponseBody> = all[stack.responses_read.min(all.len())..]
-            .iter()
-            .filter(|r| r.consumer == consumer)
-            .map(|r| r.body.clone())
-            .collect();
-        stack.responses_read = all.len();
-        fresh
+        self.collect_responses();
+        self.inbox.take_for(consumer)
     }
 
     fn run_task(&mut self, consumer: ConsumerId, body: FrontRequestBody) -> Vec<ResponseBody> {
@@ -1106,28 +1120,14 @@ impl ShardedPlatform {
         });
     }
 
-    /// Run the world to idle, then return every fresh response from
-    /// every shard's HttpA as `(consumer, body)` pairs, in shard order.
+    /// Run the world to idle, then return every response not yet drained
+    /// from every shard's HttpA as `(consumer, body)` pairs: replies held
+    /// back by earlier per-consumer calls first, then fresh ones in shard
+    /// order.
     pub fn run_and_drain(&mut self) -> Vec<(ConsumerId, ResponseBody)> {
         self.world.run_until_idle();
-        let mut out = Vec::new();
-        for (k, stack) in self.stacks.iter_mut().enumerate() {
-            let snapshot = self
-                .world
-                .shard(k)
-                .snapshot_of(stack.httpa)
-                .expect("httpa active");
-            let state: crate::agents::HttpAgent =
-                serde_json::from_value(snapshot).expect("httpa state parses");
-            let all: Vec<FrontResponse> = state.responses().to_vec();
-            out.extend(
-                all[stack.responses_read.min(all.len())..]
-                    .iter()
-                    .map(|r| (r.consumer, r.body.clone())),
-            );
-            stack.responses_read = all.len();
-        }
-        out
+        self.collect_responses();
+        self.inbox.take_all()
     }
 
     /// Snapshot of shard `k`'s BSMA for inspection.
@@ -1365,6 +1365,62 @@ mod tests {
             .any(|r| matches!(r, ResponseBody::Recommendations { .. })));
         assert_eq!(p.world().metrics().deactivations, 1);
         assert_eq!(p.world().metrics().activations, 1);
+    }
+
+    #[test]
+    fn per_consumer_calls_keep_other_consumers_replies() {
+        let (a, b) = (ConsumerId(1), ConsumerId(2));
+        let mut p = small_platform(11);
+        p.login(a);
+        p.submit_task(
+            a,
+            ConsumerTask::Query {
+                keywords: vec!["book".into()],
+                category: None,
+                max_results: 5,
+            },
+        );
+        // B's login runs the world to idle, which also answers A's query
+        assert_eq!(p.login(b), vec![ResponseBody::LoggedIn]);
+        let rest = p.run_and_drain();
+        assert!(
+            matches!(&rest[..], [(c, ResponseBody::Recommendations { .. })] if *c == a),
+            "A's reply must survive B's call: {rest:?}"
+        );
+        assert!(
+            p.run_and_drain().is_empty(),
+            "each reply is handed out once"
+        );
+    }
+
+    #[test]
+    fn sharded_per_consumer_calls_keep_other_consumers_replies() {
+        let mut p = small_sharded_platform(12, 2);
+        // both on one shard: they share its HttpA's outbox
+        let a = consumer_on_each_shard(&p)[1];
+        let b = (a.0 + 1..)
+            .map(ConsumerId)
+            .find(|c| p.shard_of(*c) == 1)
+            .expect("hash covers shard");
+        p.login(a);
+        p.submit_task(
+            a,
+            ConsumerTask::Query {
+                keywords: vec!["book".into()],
+                category: None,
+                max_results: 5,
+            },
+        );
+        assert_eq!(p.login(b), vec![ResponseBody::LoggedIn]);
+        let rest = p.run_and_drain();
+        assert!(
+            matches!(&rest[..], [(c, ResponseBody::Recommendations { .. })] if *c == a),
+            "A's reply must survive B's call: {rest:?}"
+        );
+        assert!(
+            p.run_and_drain().is_empty(),
+            "each reply is handed out once"
+        );
     }
 
     #[test]

@@ -1181,3 +1181,119 @@ mod shard_sweep {
         }
     }
 }
+
+/// DES ≡ threaded runtime for the external outbox: an agent that calls
+/// `ctx.emit` hands the same `(sender, kind, payload)` multiset to
+/// `take_emitted` on both runtimes, and emitting leaves the metrics and
+/// the trace untouched.
+mod cross_runtime_outbox {
+    use agentsim::agent::{Agent, Ctx};
+    use agentsim::ids::AgentId;
+    use agentsim::message::Message;
+    use agentsim::metrics::Metrics;
+    use agentsim::sim::SimWorld;
+    use agentsim::thread_net::ThreadWorldBuilder;
+    use serde::{Deserialize, Serialize};
+    use std::time::Duration;
+
+    /// Emits a `seen` for every `hop` it receives and, while the hop count
+    /// lasts, passes the hop on to its peer on the other host.
+    #[derive(Debug, Serialize, Deserialize)]
+    struct Relay {
+        peer: Option<AgentId>,
+    }
+
+    impl Agent for Relay {
+        fn agent_type(&self) -> &'static str {
+            "relay"
+        }
+        fn snapshot(&self) -> serde_json::Value {
+            serde_json::to_value(self).unwrap()
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let hops: u64 = msg.payload_as().unwrap();
+            ctx.emit(Message::new("seen").with_payload(&hops).unwrap());
+            if hops > 0 {
+                if let Some(peer) = self.peer {
+                    ctx.send(peer, Message::new("hop").with_payload(&(hops - 1)).unwrap());
+                }
+            }
+        }
+    }
+
+    type Emitted = Vec<(AgentId, String, String)>;
+
+    fn sorted(emitted: Vec<(AgentId, Message)>) -> Emitted {
+        let mut out: Emitted = emitted
+            .into_iter()
+            .map(|(from, msg)| {
+                assert_eq!(msg.from, Some(from), "emit stamps the sender");
+                (from, msg.kind.to_string(), msg.payload.to_string())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn hop(n: u64) -> Message {
+        Message::new("hop").with_payload(&n).unwrap()
+    }
+
+    fn run_on_des() -> (Emitted, Metrics, usize) {
+        let mut world = SimWorld::new(5);
+        let (a_host, b_host) = (world.add_host("a"), world.add_host("b"));
+        let b = world
+            .create_agent(b_host, Box::new(Relay { peer: None }))
+            .unwrap();
+        let a = world
+            .create_agent(a_host, Box::new(Relay { peer: Some(b) }))
+            .unwrap();
+        world.run_until_idle();
+        for n in [0, 1, 3] {
+            world.send_external(a, hop(n)).unwrap();
+        }
+        world.run_until_idle();
+        let emitted = world.take_emitted();
+        assert!(world.take_emitted().is_empty(), "the outbox drains by move");
+        (
+            sorted(emitted),
+            world.metrics().clone(),
+            world.trace().len(),
+        )
+    }
+
+    fn run_on_threads() -> (Emitted, Metrics, usize) {
+        let mut builder = ThreadWorldBuilder::new(5);
+        let (a_host, b_host) = (builder.add_host("a"), builder.add_host("b"));
+        let world = builder.start();
+        let b = world
+            .create_agent(b_host, Box::new(Relay { peer: None }))
+            .unwrap();
+        let a = world
+            .create_agent(a_host, Box::new(Relay { peer: Some(b) }))
+            .unwrap();
+        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
+        for n in [0, 1, 3] {
+            world.send_external(a, hop(n)).unwrap();
+        }
+        assert!(world.run_until_idle(Duration::from_secs(10)).is_idle());
+        let emitted = world.take_emitted();
+        assert!(world.take_emitted().is_empty(), "the outbox drains by move");
+        let (metrics, trace) = world.shutdown();
+        (sorted(emitted), metrics, trace.len())
+    }
+
+    #[test]
+    fn emitted_multiset_is_identical_across_runtimes() {
+        let (des, des_metrics, des_trace) = run_on_des();
+        let (threads, thread_metrics, thread_trace) = run_on_threads();
+        // three external hops at `a`, two of them relayed to `b`
+        assert_eq!(des.len(), 5, "{des:?}");
+        assert_eq!(des, threads, "emitted outboxes diverge between runtimes");
+        // emitting is not a message send: only the three external hops
+        // and the two relayed ones were delivered, and nothing was traced
+        assert_eq!(des_metrics.messages_delivered, 5, "{des_metrics:?}");
+        assert_eq!(thread_metrics.messages_delivered, 5, "{thread_metrics:?}");
+        assert_eq!((des_trace, thread_trace), (0, 0));
+    }
+}

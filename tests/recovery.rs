@@ -470,6 +470,51 @@ fn crashed_capsules_are_restored_and_store_returns_to_baseline() {
 }
 
 // ---------------------------------------------------------------------
+// front-door rollback regression: a crash rolls the HttpA back to its
+// last synced capsule, and replies after the restart must still reach
+// the browser
+// ---------------------------------------------------------------------
+
+#[test]
+fn replies_after_a_front_door_rollback_still_reach_the_browser() {
+    let mut p = Platform::builder(808)
+        .marketplaces(listings())
+        .mba_timeout_us(2_000_000)
+        .durability(DurabilityConfig {
+            sync_every: 64,
+            ..DurabilityConfig::default()
+        })
+        .build();
+    p.login(CONSUMER);
+    // the purchase records force a sync, which makes the HttpA capsule
+    // journalled at that point durable
+    let receipt = p.buy(CONSUMER, ItemId(1), 0, BuyMode::Direct);
+    assert!(
+        matches!(&receipt[..], [ResponseBody::Receipt { .. }]),
+        "clean buy: {receipt:?}"
+    );
+    // these logins stay below the 64-record sync batch: a crash loses them
+    for c in 2..=6 {
+        assert_eq!(p.login(ConsumerId(c)), vec![ResponseBody::LoggedIn]);
+    }
+    let host = p.buyer_host();
+    p.world_mut().crash_host(host).unwrap();
+    p.world_mut().restart_host(host).unwrap();
+    // the HttpA came back older than the replies already delivered; a
+    // reply cursor kept over its state would now sit past every new reply
+    let responses = p.query(CONSUMER, &["rust"], 5);
+    assert!(
+        !responses.is_empty(),
+        "the query after the rollback must be answered"
+    );
+    assert_eq!(
+        units_sold(&p, ItemId(1)),
+        1,
+        "the rollback must not repeat or lose the purchase"
+    );
+}
+
+// ---------------------------------------------------------------------
 // crash sweep: deterministic crash points swept across the whole buy
 // window, every one exactly-once
 // ---------------------------------------------------------------------

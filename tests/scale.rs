@@ -7,10 +7,17 @@ use abcrm::core::profile::ConsumerId;
 use abcrm::core::server::Platform;
 use abcrm::workload::catalog::{generate_listings, split_across_markets, CatalogSpec};
 use abcrm::workload::taxonomy::{Taxonomy, TaxonomySpec};
+use agentsim::durable::DurabilityConfig;
+use agentsim::payload::Payload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use simdb::wal::{LogRecord, Wal};
 
 fn big_platform(seed: u64) -> (Platform, Vec<String>) {
+    big_platform_with(seed, None)
+}
+
+fn big_platform_with(seed: u64, durability: Option<DurabilityConfig>) -> (Platform, Vec<String>) {
     let taxonomy = Taxonomy::generate(TaxonomySpec {
         categories: 6,
         subs_per_category: 3,
@@ -27,9 +34,11 @@ fn big_platform(seed: u64) -> (Platform, Vec<String>) {
         &mut rng,
     );
     let names: Vec<String> = listings.iter().map(|l| l.item.name.clone()).collect();
-    let platform = Platform::builder(seed)
-        .marketplaces(split_across_markets(listings, 4))
-        .build();
+    let mut builder = Platform::builder(seed).marketplaces(split_across_markets(listings, 4));
+    if let Some(cfg) = durability {
+        builder = builder.durability(cfg);
+    }
+    let platform = builder.build();
     (platform, names)
 }
 
@@ -115,4 +124,61 @@ fn mixed_workload_with_purchases_keeps_userdb_consistent() {
         p.logout(ConsumerId(c));
     }
     assert_eq!(p.bsma_state().sessions().len(), 0);
+}
+
+/// Bytes of the HttpA capsule records journalled by one login/logout
+/// session, or `None` when a checkpoint truncated the log inside it.
+fn httpa_wal_bytes_of_one_session(p: &mut Platform, consumer: ConsumerId) -> Option<usize> {
+    let host = p.buyer_host();
+    let before = p.world().durable_store(host).expect("durable").wal_len();
+    let checkpoints = p.world().metrics().checkpoints;
+    p.login(consumer);
+    p.logout(consumer);
+    if p.world().metrics().checkpoints != checkpoints {
+        return None;
+    }
+    let store = p.world().durable_store(host).expect("durable");
+    let wal = Wal::decode(&store.wal_bytes()).expect("live WAL decodes");
+    let httpa = p.httpa().0;
+    Some(
+        wal.records()[before..]
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Capsule { agent, .. } if *agent == httpa))
+            .map(|r| serde_json::to_string(r).expect("record encodes").len())
+            .sum(),
+    )
+}
+
+/// The front door holds only in-flight requests: however many sessions it
+/// has served, its state encodes to the same size and a session journals
+/// the same HttpA bytes.
+#[test]
+fn front_door_state_stays_bounded_over_a_thousand_sessions() {
+    let (mut p, _) = big_platform_with(3, Some(DurabilityConfig::default()));
+    let consumer = ConsumerId(1);
+    let mut served = 0;
+    let mut probe = |p: &mut Platform, sessions: usize| {
+        while served < sessions {
+            p.login(consumer);
+            p.logout(consumer);
+            served += 1;
+        }
+        // the first checkpoint-free session from here
+        let wal = loop {
+            served += 1;
+            if let Some(bytes) = httpa_wal_bytes_of_one_session(p, consumer) {
+                break bytes;
+            }
+        };
+        let state = Payload::from(p.world().snapshot_of(p.httpa()).expect("httpa active"));
+        (state.encoded_len(), wal)
+    };
+    let (state_10, wal_10) = probe(&mut p, 10);
+    let (state_1000, wal_1000) = probe(&mut p, 1_000);
+    assert!(wal_10 > 0, "a durable HttpA journals its capsule");
+    assert_eq!(state_10, state_1000, "HttpA state grew with history");
+    assert_eq!(
+        wal_10, wal_1000,
+        "HttpA WAL bytes per session grew with history"
+    );
 }
