@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, build, tier-1 tests (default and
-# `parallel` feature). Run from the repo root; exits non-zero on the
-# first failure.
+# `parallel` feature) plus the workspace crates' own tests. Run from the
+# repo root; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -99,6 +99,12 @@ cargo build --release
 
 echo "==> cargo test (tier-1)"
 cargo test -q
+
+# `cargo test` at the root runs only the root package; the crates' own
+# unit and integration tests (durable store, marketplace, runtimes,
+# simdb, ...) run here.
+echo "==> cargo test (workspace crates)"
+cargo test -q --workspace --exclude abcrm
 
 echo "==> cargo test --features parallel"
 cargo test -q --features parallel

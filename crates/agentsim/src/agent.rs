@@ -19,6 +19,7 @@ use crate::security::TravelPermit;
 use crate::telemetry::TraceCtx;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use simdb::wal::EncodedJson;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -608,6 +609,37 @@ impl AgentCapsule {
         64 + self.agent_type.len() + self.state.encoded_len()
     }
 
+    /// The capsule's compact JSON, byte-identical to
+    /// `serde_json::to_string(self)` but without copying the state tree:
+    /// the header fields go through the serializer and the state is
+    /// written straight from its shared payload. This is what a durable
+    /// host journals.
+    pub fn to_json(&self) -> EncodedJson {
+        use std::fmt::Write;
+        let header = AgentCapsule {
+            state: Payload::null(),
+            agent_type: self.agent_type.clone(),
+            ..*self
+        };
+        let mut out = String::from("{");
+        // the header of a struct is always an object
+        if let serde_json::Value::Object(fields) = header.serialize_value() {
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                // writing into a String cannot fail
+                let _ = if key == "state" {
+                    write!(out, "\"state\":{}", self.state.value())
+                } else {
+                    write!(out, "{}:{value}", serde_json::Value::String(key.clone()))
+                };
+            }
+        }
+        out.push('}');
+        EncodedJson::from_encoded(out)
+    }
+
     /// Detach the telemetry context, returning it.
     ///
     /// Span ids are scoped to one shard's `Telemetry` store; a capsule
@@ -886,6 +918,21 @@ mod tests {
         assert_eq!(capsule.agent_type, "counter");
         assert_eq!(*capsule.state, serde_json::json!({"count": 12}));
         assert_eq!(capsule.home, HostId(2));
+    }
+
+    #[test]
+    fn capsule_json_matches_the_serializer() {
+        let mut capsule = AgentCapsule::capture(AgentId(9), &Counter { count: 3 }, HostId(4), None);
+        assert_eq!(
+            capsule.to_json().as_str(),
+            serde_json::to_string(&capsule).unwrap()
+        );
+        capsule.deadline = Some(SimTime(17));
+        capsule.state = serde_json::json!({"s": "q\"x", "f": [1.5, 2.0]}).into();
+        assert_eq!(
+            capsule.to_json().as_str(),
+            serde_json::to_string(&capsule).unwrap()
+        );
     }
 
     #[test]

@@ -1,13 +1,26 @@
 //! Per-host durable state: WAL-backed capsules, purchase intents and
-//! profile deltas, with snapshot checkpointing and crash recovery.
+//! state deltas, with checkpointing and crash recovery.
 //!
 //! A [`DurableStore`] models the stable storage a production host would
 //! put under its agent runtime. Every capsule boundary (callback end,
 //! deactivation, arrival), every two-phase purchase record and every
-//! profile delta is appended to a [`simdb::Wal`] using the durability
+//! state delta is appended to a [`simdb::Wal`] using the durability
 //! record variants; a `synced` watermark models the fsync point — on a
 //! crash only the synced prefix survives, so the store can answer "what
 //! would a real disk hold" without ever touching the filesystem.
+//!
+//! Journaling costs what changed, not the agent's whole size:
+//! * capsule and delta bodies are [`EncodedJson`] — encoded once and
+//!   shared by the materialized state, the in-memory log and the
+//!   in-memory checkpoint, so no layer copies a value tree;
+//! * a capsule whose bytes (and `active` flag) equal the agent's last
+//!   journalled capsule appends nothing ([`DurableStore::put_capsule`]);
+//!   the skipped write still counts toward `sync_every`, so the watermark
+//!   and every crash outcome stay those of a log that wrote it;
+//! * [`DurableStore::wants_capture`] is the one rule for when a runtime
+//!   captures an agent: capsule-policy agents after every callback,
+//!   delta-policy agents once as a baseline and then at a checkpoint only
+//!   when their deltas since the last capture outweigh that capture.
 //!
 //! Policy, mirroring production databases:
 //! * purchase records ([`LogRecord::PurchaseIntent`] /
@@ -16,9 +29,12 @@
 //!   (fsync-on-commit), so a logged intent is never lost;
 //! * capsule and delta records batch: the watermark advances once
 //!   `sync_every` unsynced records accumulate (1 = sync everything);
-//! * a checkpoint serializes the materialized state into a snapshot and
-//!   truncates the log, bounding replay cost.
+//! * a checkpoint keeps a clone of the materialized state as the
+//!   snapshot (shared buffers, no encoding) and truncates the log,
+//!   bounding replay cost. Snapshot bytes are produced only for a
+//!   file-backed store or on request ([`DurableStore::snapshot_bytes`]).
 
+use crate::agent::DurablePolicy;
 use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
 use simdb::file_wal::FileWal;
@@ -26,6 +42,8 @@ use simdb::wal::{LogRecord, Wal};
 use simdb::{DbError, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+pub use simdb::wal::EncodedJson;
 
 /// Tuning knobs for per-host durability. Installed on a world via
 /// `enable_durability`; absent = the host keeps no durable state and all
@@ -50,13 +68,13 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// A capsule as the durable store holds it: the serialized
+/// A capsule as the durable store holds it: the encoded
 /// [`crate::agent::AgentCapsule`] plus whether the agent was active or
 /// deactivated when last journalled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapsuleRecord {
-    /// Serialized `AgentCapsule` (id, type, state, home, permit).
-    pub capsule: serde_json::Value,
+    /// Encoded `AgentCapsule` (id, type, state, home, permit).
+    pub capsule: EncodedJson,
     /// `true` = running agent journalled at a callback boundary;
     /// `false` = deactivated into long-term storage.
     pub active: bool,
@@ -83,9 +101,10 @@ pub struct DurableState {
     pub capsules: BTreeMap<u64, CapsuleRecord>,
     /// Purchase intents keyed by intent id.
     pub intents: BTreeMap<u64, IntentState>,
-    /// Profile deltas in log order: `(agent raw id, delta)`. Cleared at
-    /// checkpoints (the snapshot capsule absorbs them).
-    pub deltas: Vec<(u64, serde_json::Value)>,
+    /// State deltas in log order: `(agent raw id, delta)`. An agent's
+    /// deltas are dropped when a checkpoint re-captures it (the new
+    /// capsule absorbs them); until then they ride along in snapshots.
+    pub deltas: Vec<(u64, EncodedJson)>,
 }
 
 impl DurableState {
@@ -143,13 +162,23 @@ impl DurableState {
         Ok(())
     }
 
-    /// Deltas logged for `agent`, in log order.
+    /// Deltas logged for `agent`, in log order, decoded for
+    /// [`crate::agent::Agent::on_recovered`].
     pub fn deltas_for(&self, agent: u64) -> Vec<serde_json::Value> {
         self.deltas
             .iter()
             .filter(|(a, _)| *a == agent)
-            .map(|(_, d)| d.clone())
+            .filter_map(|(_, d)| d.to_value().ok())
             .collect()
+    }
+
+    /// Encoded bytes of the deltas held for `agent`.
+    fn delta_bytes(&self, agent: u64) -> usize {
+        self.deltas
+            .iter()
+            .filter(|(a, _)| *a == agent)
+            .map(|(_, d)| d.len())
+            .sum()
     }
 
     /// Intents still pending (logged, no commit or abort).
@@ -159,6 +188,15 @@ impl DurableState {
             _ => None,
         })
     }
+}
+
+/// Where a runtime stands when it asks [`DurableStore::wants_capture`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// A callback of an agent active on the host just returned.
+    Callback,
+    /// A checkpoint is about to be taken.
+    Checkpoint,
 }
 
 /// Counters a [`DurableStore`] accumulates; merged into the world
@@ -175,7 +213,7 @@ pub struct DurableCounters {
     pub purchases_committed: u64,
     /// Purchase aborts logged.
     pub purchases_aborted: u64,
-    /// Profile deltas logged.
+    /// State deltas logged.
     pub profile_deltas_logged: u64,
 }
 
@@ -214,11 +252,14 @@ struct FileBacking {
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    /// Serialized [`DurableState`] at the last checkpoint.
-    snapshot: Vec<u8>,
+    /// Materialized state at the last checkpoint.
+    snapshot: DurableState,
     wal: Wal,
     /// Fsync watermark: records `< synced` survive a crash.
     synced: usize,
+    /// Writes (appended or skipped as unchanged) since the watermark
+    /// last advanced; the watermark moves once this reaches `sync_every`.
+    unsynced: usize,
     /// Materialized view of snapshot + full WAL (what a crash-free
     /// reader sees).
     state: DurableState,
@@ -237,6 +278,7 @@ impl Clone for DurableStore {
             snapshot: self.snapshot.clone(),
             wal: self.wal.clone(),
             synced: self.synced,
+            unsynced: self.unsynced,
             state: self.state.clone(),
             since_checkpoint: self.since_checkpoint,
             counters: self.counters,
@@ -250,9 +292,10 @@ impl DurableStore {
     pub fn new(cfg: DurabilityConfig) -> Self {
         DurableStore {
             cfg,
-            snapshot: Vec::new(),
+            snapshot: DurableState::default(),
             wal: Wal::new(),
             synced: 0,
+            unsynced: 0,
             state: DurableState::default(),
             since_checkpoint: 0,
             counters: DurableCounters::default(),
@@ -277,8 +320,8 @@ impl DurableStore {
         snap_os.push(".snap");
         let snap_path = PathBuf::from(snap_os);
         let snapshot = match std::fs::read(&snap_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Ok(bytes) => decode_snapshot(&bytes)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => DurableState::default(),
             Err(e) => return Err(DbError::Io(e.to_string())),
         };
         let (file_wal, wal) = FileWal::open(path)?;
@@ -289,6 +332,7 @@ impl DurableStore {
             snapshot,
             wal,
             synced,
+            unsynced: 0,
             state: recovered.state,
             since_checkpoint: synced,
             counters: DurableCounters::default(),
@@ -334,6 +378,26 @@ impl DurableStore {
         &self.state
     }
 
+    /// Whether the runtime should capture `agent` (journalled under
+    /// `policy`) now. Capsule-policy agents are captured after every
+    /// callback and never at checkpoints (the log already holds their
+    /// latest capsule). A delta-policy agent is captured once as a
+    /// baseline, then again only at a checkpoint, and only once the deltas
+    /// it logged since its last capture encode to at least that capture's
+    /// size — so the capture cost is amortized over the deltas it saves
+    /// replaying, and replay stays within about twice the live state.
+    pub fn wants_capture(&self, agent: u64, policy: DurablePolicy, at: Boundary) -> bool {
+        match policy {
+            DurablePolicy::Capsule => at == Boundary::Callback,
+            DurablePolicy::Deltas => match self.state.capsules.get(&agent) {
+                None => true,
+                Some(rec) => {
+                    at == Boundary::Checkpoint && self.state.delta_bytes(agent) >= rec.capsule.len()
+                }
+            },
+        }
+    }
+
     fn append(&mut self, record: LogRecord, force_sync: bool) -> Result<()> {
         self.state.apply(&record)?;
         if let Some(f) = self.file.as_mut() {
@@ -342,8 +406,16 @@ impl DurableStore {
         self.wal.append(record);
         self.counters.wal_records_appended += 1;
         self.since_checkpoint += 1;
-        if force_sync || self.wal.len() - self.synced >= self.cfg.sync_every.max(1) {
+        self.count_write(force_sync)
+    }
+
+    /// Count one write toward the fsync batch, advancing the watermark
+    /// when it is forced or the batch is full.
+    fn count_write(&mut self, force_sync: bool) -> Result<()> {
+        self.unsynced += 1;
+        if force_sync || self.unsynced >= self.cfg.sync_every.max(1) {
             self.synced = self.wal.len();
+            self.unsynced = 0;
             if let Some(f) = self.file.as_mut() {
                 f.wal.sync()?;
             }
@@ -351,18 +423,30 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Journal an agent capsule (active or deactivated). Batched sync.
+    /// Journal an agent capsule (active or deactivated). Batched sync. A
+    /// capsule identical to the agent's current one (same bytes, same
+    /// `active`) appends nothing: replaying it would change no state. It
+    /// still counts toward the sync batch, so the watermark advances
+    /// exactly where it would have had the record been written.
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] is impossible for capsule records; the
-    /// `Result` mirrors the shared append path.
+    /// [`DbError::Io`] only on a file-backed store.
     pub fn put_capsule(
         &mut self,
         agent: u64,
-        capsule: serde_json::Value,
+        capsule: impl Into<EncodedJson>,
         active: bool,
     ) -> Result<()> {
+        let capsule = capsule.into();
+        let unchanged = self
+            .state
+            .capsules
+            .get(&agent)
+            .is_some_and(|r| r.active == active && r.capsule == capsule);
+        if unchanged {
+            return self.count_write(false);
+        }
         self.append(
             LogRecord::Capsule {
                 agent,
@@ -414,13 +498,14 @@ impl DurableStore {
         self.append(LogRecord::PurchaseAbort { intent, reason }, true)
     }
 
-    /// Log a profile delta for a delta-policy agent. Batched sync.
+    /// Log a state delta for a delta-policy agent. Batched sync.
     ///
     /// # Errors
     ///
     /// See [`DurableStore::put_capsule`].
-    pub fn log_delta(&mut self, agent: u64, delta: serde_json::Value) -> Result<()> {
+    pub fn log_delta(&mut self, agent: u64, delta: impl Into<EncodedJson>) -> Result<()> {
         self.counters.profile_deltas_logged += 1;
+        let delta = delta.into();
         self.append(LogRecord::ProfileDelta { agent, delta }, false)
     }
 
@@ -429,10 +514,10 @@ impl DurableStore {
         self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every
     }
 
-    /// Checkpoint: fold `fresh_capsules` (live capsules of delta-policy
-    /// agents, captured by the runtime at the checkpoint boundary) into
-    /// the state, serialize it as the new snapshot, truncate the WAL and
-    /// clear the absorbed deltas.
+    /// Checkpoint: fold `fresh_capsules` (live capsules of the agents
+    /// [`DurableStore::wants_capture`] picked at this
+    /// [`Boundary::Checkpoint`]) into the state and drop their absorbed
+    /// deltas, keep the state as the new snapshot and truncate the WAL.
     ///
     /// # Errors
     ///
@@ -442,27 +527,30 @@ impl DurableStore {
     /// temp-file + rename so it is never torn; a crash between the rename
     /// and the log truncation can replay pre-checkpoint records over the
     /// new snapshot (idempotent for capsules and intents, duplicating
-    /// only profile deltas) — a bounded, documented window.
-    pub fn checkpoint(
-        &mut self,
-        fresh_capsules: Vec<(u64, serde_json::Value, bool)>,
-    ) -> Result<()> {
-        for (agent, capsule, active) in fresh_capsules {
-            self.state
-                .capsules
-                .insert(agent, CapsuleRecord { capsule, active });
+    /// only deltas) — a bounded, documented window.
+    pub fn checkpoint(&mut self, fresh_capsules: Vec<(u64, EncodedJson)>) -> Result<()> {
+        for (agent, capsule) in fresh_capsules {
+            self.state.capsules.insert(
+                agent,
+                CapsuleRecord {
+                    capsule,
+                    active: true,
+                },
+            );
             self.state.deltas.retain(|(a, _)| *a != agent);
         }
-        self.snapshot = serde_json::to_vec(&self.state).unwrap_or_default();
+        self.snapshot = self.state.clone();
         self.wal.truncate();
         self.synced = 0;
+        self.unsynced = 0;
         self.since_checkpoint = 0;
         self.counters.checkpoints += 1;
         if let Some(f) = self.file.as_mut() {
             let mut tmp_os = f.snap_path.as_os_str().to_os_string();
             tmp_os.push(".tmp");
             let tmp = PathBuf::from(tmp_os);
-            std::fs::write(&tmp, &self.snapshot).map_err(|e| DbError::Io(e.to_string()))?;
+            std::fs::write(&tmp, encode_snapshot(&self.snapshot))
+                .map_err(|e| DbError::Io(e.to_string()))?;
             std::fs::rename(&tmp, &f.snap_path).map_err(|e| DbError::Io(e.to_string()))?;
             f.wal.reset(&self.wal)?;
         }
@@ -475,10 +563,11 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] / [`DbError::WalCorrupt`] if the
-    /// snapshot or surviving prefix do not replay (internal corruption).
+    /// [`DbError::Serialization`] if the surviving prefix does not replay
+    /// (internal corruption); [`DbError::Io`] on a file-backed store.
     pub fn crash(&mut self) -> Result<()> {
         self.wal.retain_prefix(self.synced);
+        self.unsynced = 0;
         if let Some(f) = self.file.as_mut() {
             // mirror the loss: the file keeps only the synced prefix
             f.wal.reset(&self.wal)?;
@@ -493,19 +582,15 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// [`DbError::Serialization`] for an unreadable snapshot or a table
-    /// record in the durability log; [`DbError::WalCorrupt`] never occurs
-    /// here (the in-memory log is already decoded).
+    /// [`DbError::Serialization`] for a table record in the durability
+    /// log; [`DbError::WalCorrupt`] never occurs here (the in-memory log
+    /// is already decoded).
     pub fn recover(&self) -> Result<Recovered> {
         Self::replay(&self.snapshot, &self.wal)
     }
 
-    fn replay(snapshot: &[u8], wal: &Wal) -> Result<Recovered> {
-        let mut state: DurableState = if snapshot.is_empty() {
-            DurableState::default()
-        } else {
-            serde_json::from_slice(snapshot).map_err(|e| DbError::Serialization(e.to_string()))?
-        };
+    fn replay(snapshot: &DurableState, wal: &Wal) -> Result<Recovered> {
+        let mut state = snapshot.clone();
         for record in wal.records() {
             state.apply(record)?;
         }
@@ -518,7 +603,8 @@ impl DurableStore {
     /// Replay an encoded snapshot + WAL byte log into a state — the
     /// pure function the property tests exercise: `replay(snapshot,
     /// encode(log))` must equal direct application, be idempotent and
-    /// tolerate any prefix truncation.
+    /// tolerate any prefix truncation. An empty snapshot is the empty
+    /// state.
     ///
     /// # Errors
     ///
@@ -527,7 +613,7 @@ impl DurableStore {
     /// record in the log.
     pub fn replay_bytes(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Recovered> {
         let wal = Wal::decode(wal_bytes)?;
-        Self::replay(snapshot, &wal)
+        Self::replay(&decode_snapshot(snapshot)?, &wal)
     }
 
     /// Current WAL bytes (what would be on disk past the snapshot).
@@ -535,10 +621,24 @@ impl DurableStore {
         self.wal.encode()
     }
 
-    /// The snapshot bytes from the last checkpoint (empty before one).
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.snapshot
+    /// The snapshot from the last checkpoint, encoded (the empty state
+    /// before one).
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        encode_snapshot(&self.snapshot)
     }
+}
+
+fn encode_snapshot(state: &DurableState) -> Vec<u8> {
+    // a DurableState is plain maps of strings/values; serialization
+    // cannot fail
+    serde_json::to_vec(state).unwrap_or_default()
+}
+
+fn decode_snapshot(bytes: &[u8]) -> Result<DurableState> {
+    if bytes.is_empty() {
+        return Ok(DurableState::default());
+    }
+    serde_json::from_slice(bytes).map_err(|e| DbError::Serialization(e.to_string()))
 }
 
 #[cfg(test)]
@@ -563,7 +663,7 @@ mod tests {
         assert_eq!(
             s.state().capsules.get(&7).unwrap(),
             &CapsuleRecord {
-                capsule: json!({"x": 2}),
+                capsule: json!({"x": 2}).into(),
                 active: false
             }
         );
@@ -647,14 +747,74 @@ mod tests {
     fn checkpoint_absorbs_fresh_capsules_and_clears_their_deltas() {
         let mut s = DurableStore::new(cfg(1));
         s.log_delta(5, json!({"d": 1})).unwrap();
-        s.checkpoint(vec![(5, json!({"full": true}), true)])
+        s.checkpoint(vec![(5, json!({"full": true}).into())])
             .unwrap();
         let rec = s.recover().unwrap();
         assert!(rec.state.deltas_for(5).is_empty());
         assert_eq!(
             rec.state.capsules.get(&5).unwrap().capsule,
-            json!({"full": true})
+            json!({"full": true}).into()
         );
+    }
+
+    #[test]
+    fn unchanged_capsule_appends_nothing_but_counts_toward_sync() {
+        let mut s = DurableStore::new(cfg(2));
+        s.put_capsule(1, json!({"v": 1}), true).unwrap();
+        assert_eq!((s.wal_len(), s.synced_len()), (1, 0));
+        // same bytes, same flag: skipped, but it fills the sync batch
+        s.put_capsule(1, json!({"v": 1}), true).unwrap();
+        assert_eq!((s.wal_len(), s.synced_len()), (1, 1));
+        // a flag change is a change
+        s.put_capsule(1, json!({"v": 1}), false).unwrap();
+        assert_eq!(s.wal_len(), 2);
+        assert_eq!(s.counters().wal_records_appended, 2);
+        // after a departure the same capsule is new again
+        s.remove_capsule(1).unwrap();
+        s.put_capsule(1, json!({"v": 1}), false).unwrap();
+        assert_eq!(s.wal_len(), 4);
+    }
+
+    #[test]
+    fn capture_rule_amortizes_delta_agents_over_their_deltas() {
+        let mut s = DurableStore::new(cfg(1));
+        let (cb, cp) = (Boundary::Callback, Boundary::Checkpoint);
+        assert!(s.wants_capture(1, DurablePolicy::Capsule, cb));
+        assert!(!s.wants_capture(1, DurablePolicy::Capsule, cp));
+        // no baseline yet: capture at either boundary
+        assert!(s.wants_capture(2, DurablePolicy::Deltas, cb));
+        assert!(s.wants_capture(2, DurablePolicy::Deltas, cp));
+        let baseline = EncodedJson::from(json!({"big": "0123456789"}));
+        s.put_capsule(2, baseline.clone(), true).unwrap();
+        assert!(!s.wants_capture(2, DurablePolicy::Deltas, cb));
+        assert!(!s.wants_capture(2, DurablePolicy::Deltas, cp));
+        // deltas accumulate until they outweigh the baseline
+        s.log_delta(2, json!(1)).unwrap();
+        assert!(!s.wants_capture(2, DurablePolicy::Deltas, cp));
+        while s.state().delta_bytes(2) < baseline.len() {
+            s.log_delta(2, json!(12345)).unwrap();
+        }
+        assert!(s.wants_capture(2, DurablePolicy::Deltas, cp));
+        assert!(!s.wants_capture(2, DurablePolicy::Deltas, cb));
+    }
+
+    #[test]
+    fn deltas_not_recaptured_ride_along_in_the_snapshot() {
+        let mut s = DurableStore::new(cfg(1));
+        s.put_capsule(2, json!({"base": 1}), true).unwrap();
+        s.log_delta(2, json!({"d": 1})).unwrap();
+        s.log_intent(9, json!({})).unwrap();
+        s.checkpoint(Vec::new()).unwrap();
+        s.log_delta(2, json!({"d": 2})).unwrap();
+        let rec = s.recover().unwrap();
+        assert_eq!(rec.replayed, 1);
+        assert_eq!(&rec.state, s.state());
+        assert_eq!(
+            rec.state.deltas_for(2),
+            vec![json!({"d": 1}), json!({"d": 2})]
+        );
+        let bytes = DurableStore::replay_bytes(&s.snapshot_bytes(), &s.wal_bytes()).unwrap();
+        assert_eq!(&bytes.state, s.state());
     }
 
     #[test]

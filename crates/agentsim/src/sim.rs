@@ -36,10 +36,10 @@
 //! # }
 //! ```
 
-use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, DurablePolicy, FaultCounter};
+use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, FaultCounter};
 use crate::chaos::{ChaosEvent, ChaosPlan, Fault};
 use crate::clock::{SimDuration, SimTime};
-use crate::durable::{DurabilityConfig, DurableStore};
+use crate::durable::{Boundary, DurabilityConfig, DurableStore, EncodedJson};
 use crate::error::{PlatformError, Result};
 use crate::ids::{AgentId, HostId, MessageId};
 use crate::intern::InternedStr;
@@ -544,14 +544,19 @@ impl SimWorld {
                 continue;
             }
             // Delta-journalled agents only hit the WAL as deltas; capture
-            // their live capsules now so the snapshot is self-contained
-            // and their replayed delta history can be dropped.
-            let mut fresh: Vec<(u64, serde_json::Value, bool)> = Vec::new();
+            // the ones whose deltas have outgrown their last capture so the
+            // snapshot absorbs them and their replayed history is dropped.
+            let mut fresh: Vec<(u64, EncodedJson)> = Vec::new();
             if let Some(h) = self.hosts.get(&host) {
+                let Some(store) = h.durable.as_ref() else {
+                    continue;
+                };
                 let mut ids: Vec<AgentId> = h
                     .active
                     .iter()
-                    .filter(|(_, a)| matches!(a.durable_policy(), DurablePolicy::Deltas))
+                    .filter(|(id, a)| {
+                        store.wants_capture(id.0, a.durable_policy(), Boundary::Checkpoint)
+                    })
                     .map(|(id, _)| *id)
                     .collect();
                 ids.sort_unstable();
@@ -562,8 +567,7 @@ impl SimWorld {
                     let home = self.homes.get(&id).copied().unwrap_or(host);
                     let permit = self.permits.get(&id).copied();
                     let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-                    let value = serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null);
-                    fresh.push((id.0, value, true));
+                    fresh.push((id.0, capsule.to_json()));
                 }
             }
             if let Some(store) = self.hosts.get_mut(&host).and_then(|h| h.durable.as_mut()) {
@@ -587,36 +591,23 @@ impl SimWorld {
         }
     }
 
-    /// Journal the live capsule of an agent active on a durable host.
-    /// Capsule-journalled agents are captured after every callback;
-    /// delta-journalled agents only get a baseline capture (their ongoing
-    /// history travels as deltas, folded in at checkpoints).
+    /// Journal the live capsule of an agent active on a durable host, if
+    /// the store's capture rule wants it now (see
+    /// [`DurableStore::wants_capture`]).
     fn journal_live_capsule(&mut self, host: HostId, id: AgentId) {
         let home = self.homes.get(&id).copied().unwrap_or(host);
         let permit = self.permits.get(&id).copied();
         let Some(h) = self.hosts.get_mut(&host) else {
             return;
         };
-        let has_capsule = h
-            .durable
-            .as_ref()
-            .is_some_and(|s| s.state().capsules.contains_key(&id.0));
-        if h.durable.is_none() {
+        let (Some(store), Some(agent)) = (h.durable.as_mut(), h.active.get(&id)) else {
+            return;
+        };
+        if !store.wants_capture(id.0, agent.durable_policy(), Boundary::Callback) {
             return;
         }
-        let value = {
-            let Some(agent) = h.active.get(&id) else {
-                return;
-            };
-            if matches!(agent.durable_policy(), DurablePolicy::Deltas) && has_capsule {
-                return;
-            }
-            let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-            serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null)
-        };
-        if let Some(store) = h.durable.as_mut() {
-            let _ = store.put_capsule(id.0, value, true);
-        }
+        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
+        let _ = store.put_capsule(id.0, capsule.to_json(), true);
         self.drain_durable_counters(host);
     }
 
@@ -973,7 +964,7 @@ impl SimWorld {
                 );
                 continue;
             }
-            let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
+            let capsule: AgentCapsule = match rec.capsule.parse() {
                 Ok(c) => c,
                 Err(e) => {
                     self.trace.record(
@@ -2746,12 +2737,11 @@ impl SimWorld {
         };
         let home = self.homes.get(&id).copied().unwrap_or(host);
         let capsule = AgentCapsule::capture(id, agent.as_ref(), home, None);
-        let journalled = serde_json::to_value(&capsule).ok();
         let h = self.hosts.get_mut(&host).expect("host exists");
-        h.store.store(capsule);
-        if let (Some(store), Some(value)) = (h.durable.as_mut(), journalled) {
-            let _ = store.put_capsule(id.0, value, false);
+        if let Some(store) = h.durable.as_mut() {
+            let _ = store.put_capsule(id.0, capsule.to_json(), false);
         }
+        h.store.store(capsule);
         self.drain_durable_counters(host);
         self.locations.insert(id, Location::Deactivated(host));
         self.metrics.deactivations += 1;

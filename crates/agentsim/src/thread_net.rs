@@ -12,10 +12,10 @@
 //! (channels deliver as fast as the OS schedules) — timers are honoured via
 //! real `thread::sleep`.
 
-use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, DurablePolicy, FaultCounter};
+use crate::agent::{Action, Agent, AgentCapsule, AgentRegistry, Ctx, FaultCounter};
 use crate::chaos::ChaosKnobs;
 use crate::clock::SimTime;
-use crate::durable::{DurabilityConfig, DurableStore};
+use crate::durable::{Boundary, DurabilityConfig, DurableStore, EncodedJson};
 use crate::error::{PlatformError, Result};
 use crate::ids::{AgentId, HostId, MessageId};
 use crate::intern::InternedStr;
@@ -1019,32 +1019,19 @@ fn drain_durable_counters(host: &mut HostState, shared: &Arc<Shared>) {
     }
 }
 
-/// Journal the live capsule of an agent this worker owns (see the DES
-/// twin in [`crate::sim::SimWorld`]: every callback for capsule-policy
-/// agents, baseline only for delta-policy agents).
+/// Journal the live capsule of an agent this worker owns, if the store's
+/// capture rule wants it now (see [`DurableStore::wants_capture`]).
 fn journal_live_capsule(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
-    if host.durable.is_none() {
+    let (Some(store), Some(agent)) = (host.durable.as_mut(), host.active.get(&id)) else {
+        return;
+    };
+    if !store.wants_capture(id.0, agent.durable_policy(), Boundary::Callback) {
         return;
     }
-    let has_capsule = host
-        .durable
-        .as_ref()
-        .is_some_and(|s| s.state().capsules.contains_key(&id.0));
-    let value = {
-        let Some(agent) = host.active.get(&id) else {
-            return;
-        };
-        if matches!(agent.durable_policy(), DurablePolicy::Deltas) && has_capsule {
-            return;
-        }
-        let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
-        let permit = host.carried_permits.get(&id).copied();
-        let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null)
-    };
-    if let Some(store) = host.durable.as_mut() {
-        let _ = store.put_capsule(id.0, value, true);
-    }
+    let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
+    let permit = host.carried_permits.get(&id).copied();
+    let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
+    let _ = store.put_capsule(id.0, capsule.to_json(), true);
     drain_durable_counters(host, shared);
 }
 
@@ -1066,14 +1053,17 @@ fn maybe_checkpoint(host: &mut HostState, shared: &Arc<Shared>) {
     {
         return;
     }
+    let Some(store) = host.durable.as_ref() else {
+        return;
+    };
     let mut ids: Vec<AgentId> = host
         .active
         .iter()
-        .filter(|(_, a)| matches!(a.durable_policy(), DurablePolicy::Deltas))
+        .filter(|(id, a)| store.wants_capture(id.0, a.durable_policy(), Boundary::Checkpoint))
         .map(|(id, _)| *id)
         .collect();
     ids.sort_unstable();
-    let mut fresh: Vec<(u64, serde_json::Value, bool)> = Vec::new();
+    let mut fresh: Vec<(u64, EncodedJson)> = Vec::new();
     for id in ids {
         let Some(agent) = host.active.get(&id) else {
             continue;
@@ -1081,11 +1071,7 @@ fn maybe_checkpoint(host: &mut HostState, shared: &Arc<Shared>) {
         let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
         let permit = host.carried_permits.get(&id).copied();
         let capsule = AgentCapsule::capture(id, agent.as_ref(), home, permit);
-        fresh.push((
-            id.0,
-            serde_json::to_value(&capsule).unwrap_or(serde_json::Value::Null),
-            true,
-        ));
+        fresh.push((id.0, capsule.to_json()));
     }
     if let Some(store) = host.durable.as_mut() {
         // in-memory checkpoints cannot fail; the runtimes never install
@@ -1136,7 +1122,7 @@ fn recover_worker(host: &mut HostState, shared: &Arc<Shared>) {
             );
             continue;
         }
-        let capsule: AgentCapsule = match serde_json::from_value(rec.capsule.clone()) {
+        let capsule: AgentCapsule = match rec.capsule.parse() {
             Ok(c) => c,
             Err(e) => {
                 shared.trace.lock().record(
@@ -2085,9 +2071,7 @@ fn do_deactivate(host: &mut HostState, shared: &Arc<Shared>, id: AgentId) {
     let home = shared.homes.lock().get(&id).copied().unwrap_or(host.id);
     let capsule = AgentCapsule::capture(id, agent.as_ref(), home, None);
     if let Some(store) = host.durable.as_mut() {
-        if let Ok(value) = serde_json::to_value(&capsule) {
-            let _ = store.put_capsule(id.0, value, false);
-        }
+        let _ = store.put_capsule(id.0, capsule.to_json(), false);
         drain_durable_counters(host, shared);
     }
     host.store.store(capsule);

@@ -170,10 +170,10 @@ fn synthetic_store(records: u64, checkpoint_every: usize) -> DurableStore {
                 .unwrap(),
         }
         if checkpoint_every > 0 && (i + 1) % checkpoint_every as u64 == 0 {
-            // the runtime hands checkpoint() the live capsules of every
-            // delta-policy agent, absorbing their logged deltas
+            // the runtime hands checkpoint() fresh capsules of the
+            // delta-policy agents it re-captures, absorbing their deltas
             let fresh = (0..agents)
-                .map(|a| (a, serde_json::json!({"id": a, "state": {"seq": i}}), true))
+                .map(|a| (a, serde_json::json!({"id": a, "state": {"seq": i}}).into()))
                 .collect();
             store.checkpoint(fresh).expect("in-memory checkpoint");
         }
@@ -188,7 +188,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(20);
     for records in [1_000u64, 10_000] {
         let store = synthetic_store(records, 0);
-        let (snapshot, wal) = (store.snapshot_bytes().to_vec(), store.wal_bytes());
+        let (snapshot, wal) = (store.snapshot_bytes(), store.wal_bytes());
         group.bench_function(format!("replay_{records}_records_no_checkpoint"), |b| {
             b.iter(|| {
                 DurableStore::replay_bytes(&snapshot, &wal)
@@ -200,7 +200,7 @@ fn bench(c: &mut Criterion) {
     // same 10k-record workload, but checkpointed every 256: the replay
     // cost is the snapshot parse plus a short log tail
     let store = synthetic_store(10_000, 256);
-    let (snapshot, wal) = (store.snapshot_bytes().to_vec(), store.wal_bytes());
+    let (snapshot, wal) = (store.snapshot_bytes(), store.wal_bytes());
     group.bench_function("replay_10000_records_checkpointed_256", |b| {
         b.iter(|| {
             DurableStore::replay_bytes(&snapshot, &wal)

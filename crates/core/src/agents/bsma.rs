@@ -217,6 +217,10 @@ impl Bsma {
             let market = self.config.markets[i];
             self.store_market(ctx, market);
         }
+        // The BSMA's journalled capsule is BSMDB's durable copy, so every
+        // write below drops the store's embedded log instead of letting it
+        // grow with each session forever.
+        self.bsmdb.clear_log();
         // announce ourselves to the EC domain and discover marketplaces
         if self.config.coordinator != AgentId(0) {
             let register = Message::new(ecpk::REGISTER_SERVER)
@@ -245,6 +249,7 @@ impl Bsma {
         {
             ctx.note(format!("bsma: bsmdb marketplace write failed: {e}"));
         }
+        self.bsmdb.clear_log();
     }
 
     fn handle_login(&mut self, ctx: &mut Ctx<'_>, msg: &Message, req: SessionRequest) {
@@ -280,6 +285,7 @@ impl Bsma {
                 {
                     ctx.note(format!("bsma: bsmdb session write failed: {e}"));
                 }
+                self.bsmdb.clear_log();
                 bra
             }
         };
@@ -299,6 +305,7 @@ impl Bsma {
             if let Err(e) = self.bsmdb.delete("sessions", &req.consumer.0.to_string()) {
                 ctx.note(format!("bsma: bsmdb session delete failed: {e}"));
             }
+            self.bsmdb.clear_log();
         }
         let reply = Message::new(kinds::SESSION_CLOSED)
             .with_payload(&SessionRequest {
@@ -403,6 +410,7 @@ impl Bsma {
         {
             ctx.note(format!("bsma: bsmdb mba write failed: {e}"));
         }
+        self.bsmdb.clear_log();
         // §4.1 principle 3: Aglet.deactivate() on the BRA while the MBA
         // roams
         ctx.deactivate(register.bra);
@@ -456,6 +464,7 @@ impl Bsma {
         if let Err(e) = self.bsmdb.delete("mba-registry", &returned.mba.to_string()) {
             ctx.note(format!("bsma: bsmdb mba delete failed: {e}"));
         }
+        self.bsmdb.clear_log();
         // §4.1 principle 3: Aglet.activate() loads the BRA back to memory;
         // the held MBA_RESULT is replayed to it by the platform.
         ctx.activate(entry.register.bra);
@@ -618,6 +627,7 @@ impl Agent for Bsma {
         {
             ctx.note(format!("bsma: bsmdb mba delete failed: {e}"));
         }
+        self.bsmdb.clear_log();
         ctx.activate(entry.register.bra);
         let lost = Message::new(kinds::MBA_LOST)
             .with_payload(&MbaLost {

@@ -43,6 +43,16 @@ pub struct MaintenanceConfig {
 
 const MAINTENANCE_TIMER_TAG: u64 = u64::MAX;
 
+/// One PA state change as a durable PA journals it. The live PA and
+/// crash recovery both apply it through [`ProfileAgent::apply`].
+#[derive(Debug, Serialize, Deserialize)]
+enum PaDelta {
+    /// A recorded behaviour: the Fig 4.5 profile update.
+    Behaviour(PaRecord),
+    /// A maintenance pass decaying every profile by this factor.
+    Decay(f64),
+}
+
 /// The Profile Agent. Static on the Buyer Agent Server.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ProfileAgent {
@@ -134,16 +144,44 @@ impl ProfileAgent {
         loaded
     }
 
-    fn record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
+    /// Apply `delta`, journalling it first when durable (write-ahead: the
+    /// delta reaches the WAL before the update it describes can be
+    /// observed by anyone).
+    fn commit(&mut self, ctx: &mut Ctx<'_>, delta: PaDelta) {
         if self.durable {
-            // write-ahead: the delta reaches the WAL before the learned
-            // update it describes can be observed by anyone
-            match serde_json::to_value(&rec) {
-                Ok(delta) => ctx.journal_delta(delta),
-                Err(e) => ctx.note(format!("pa: behaviour delta serialize failed: {e}")),
+            match serde_json::to_value(&delta) {
+                Ok(value) => ctx.journal_delta(value),
+                Err(e) => ctx.note(format!("pa: delta serialize failed: {e}")),
             }
         }
-        self.apply_record(ctx, rec);
+        self.apply(ctx, delta);
+    }
+
+    fn apply(&mut self, ctx: &mut Ctx<'_>, delta: PaDelta) {
+        match delta {
+            PaDelta::Behaviour(rec) => self.apply_record(ctx, rec),
+            PaDelta::Decay(factor) => self.decay(ctx, factor),
+        }
+    }
+
+    /// One maintenance pass: decay every profile and persist them.
+    fn decay(&mut self, ctx: &mut Ctx<'_>, factor: f64) {
+        self.store.decay_all_profiles(factor.clamp(0.0, 1.0));
+        self.maintenance_passes += 1;
+        ctx.note(format!(
+            "pa maintenance pass {}: decayed all profiles by {factor:.2}",
+            self.maintenance_passes
+        ));
+        // persist the decayed profiles (store and userdb are disjoint
+        // fields, so the iterator borrow and the mutable save coexist)
+        let store = &self.store;
+        let userdb = &mut self.userdb;
+        for (consumer, profile) in store.profiles() {
+            if let Err(e) = userdb.save_profile(consumer, profile) {
+                ctx.note(format!("pa: decayed profile persist failed: {e}"));
+            }
+        }
+        userdb.clear_log();
     }
 
     fn apply_record(&mut self, ctx: &mut Ctx<'_>, rec: PaRecord) {
@@ -172,6 +210,9 @@ impl ProfileAgent {
                 ctx.note(format!("pa: transaction persist failed: {e}"));
             }
         }
+        // The PA's own journal (capsule + deltas) is UserDB's durable
+        // copy; the store's embedded log would only grow with history.
+        self.userdb.clear_log();
     }
 
     fn similar(&mut self, req: &PaSimilar) -> PaSimilarReply {
@@ -242,14 +283,14 @@ impl Agent for ProfileAgent {
     }
 
     fn on_recovered(&mut self, ctx: &mut Ctx<'_>, deltas: &[serde_json::Value]) {
-        // Replay every behaviour recorded since the baseline capsule was
-        // captured. apply_record (not record) so the replay does not
-        // re-journal deltas the WAL already holds.
+        // Replay every change journalled since the capsule in the
+        // recovered state was captured. apply (not commit) so the replay
+        // does not re-journal deltas the WAL already holds.
         let mut replayed = 0usize;
         for delta in deltas {
-            match serde_json::from_value::<PaRecord>(delta.clone()) {
-                Ok(rec) => {
-                    self.apply_record(ctx, rec);
+            match <PaDelta as Deserialize>::deserialize_value(delta) {
+                Ok(delta) => {
+                    self.apply(ctx, delta);
                     replayed += 1;
                 }
                 Err(e) => ctx.note(format!("pa: unreadable journalled delta skipped: {e}")),
@@ -257,7 +298,7 @@ impl Agent for ProfileAgent {
         }
         if replayed > 0 {
             ctx.note(format!(
-                "pa: recovered, replayed {replayed} journalled behaviour records"
+                "pa: recovered, replayed {replayed} journalled changes"
             ));
         }
         if let Some(m) = self.maintenance {
@@ -285,21 +326,7 @@ impl Agent for ProfileAgent {
         let Some(m) = self.maintenance else {
             return;
         };
-        self.store.decay_all_profiles(m.decay.clamp(0.0, 1.0));
-        self.maintenance_passes += 1;
-        ctx.note(format!(
-            "pa maintenance pass {}: decayed all profiles by {:.2}",
-            self.maintenance_passes, m.decay
-        ));
-        // persist the decayed profiles (store and userdb are disjoint
-        // fields, so the iterator borrow and the mutable save coexist)
-        let store = &self.store;
-        let userdb = &mut self.userdb;
-        for (consumer, profile) in store.profiles() {
-            if let Err(e) = userdb.save_profile(consumer, profile) {
-                ctx.note(format!("pa: decayed profile persist failed: {e}"));
-            }
-        }
+        self.commit(ctx, PaDelta::Decay(m.decay));
         ctx.set_timer(
             agentsim::clock::SimDuration::from_micros(m.interval_us),
             MAINTENANCE_TIMER_TAG,
@@ -326,7 +353,7 @@ impl Agent for ProfileAgent {
             }
             kinds::PA_RECORD => {
                 if let Ok(rec) = msg.payload_as::<PaRecord>() {
-                    self.record(ctx, rec);
+                    self.commit(ctx, PaDelta::Behaviour(rec));
                 }
             }
             kinds::PA_SIMILAR => {
@@ -633,6 +660,57 @@ mod tests {
             interest_after < interest_before * 0.2,
             "three 0.5 decays must shrink interest to 12.5%: {interest_before} -> {interest_after}"
         );
+    }
+
+    /// A durable PA journals its maintenance passes with its behaviour
+    /// records, so a crash after a pass replays to the decayed state.
+    #[test]
+    fn durable_maintenance_passes_survive_a_crash() {
+        use agentsim::clock::{SimDuration, SimTime};
+        use agentsim::durable::DurabilityConfig;
+        let mut world = SimWorld::new(13);
+        world.registry_mut().register_serde::<ProfileAgent>(PA_TYPE);
+        world.enable_durability(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 1,
+        });
+        let h = world.add_host("buyer-server");
+        let pa = world
+            .create_agent(
+                h,
+                Box::new(
+                    ProfileAgent::new(LearnerConfig::default(), SimilarityConfig::default())
+                        .with_maintenance(MaintenanceConfig {
+                            interval_us: 1_000_000,
+                            decay: 0.5,
+                        })
+                        .with_durability(),
+                ),
+            )
+            .unwrap();
+        let sink = world.create_agent(h, Box::new(Sink::default())).unwrap();
+        let mut msg = Message::new("instr");
+        msg.payload = serde_json::json!({
+            "__send_to": pa.0,
+            "kind": kinds::PA_RECORD,
+            "payload": serde_json::to_value(&PaRecord {
+                consumer: ConsumerId(1),
+                item: merch(1, "rustbook"),
+                kind: BehaviorKind::Purchase,
+                price: None,
+                at_us: 0,
+            }).unwrap(),
+        })
+        .into();
+        world.send_external(sink, msg).unwrap();
+        world.run_until(SimTime::ZERO + SimDuration::from_micros(2_500_000));
+        let live = world.snapshot_of(pa).unwrap();
+        assert_eq!(world.metrics().profile_deltas_logged, 3);
+        world.crash_host(h).unwrap();
+        world.restart_host(h).unwrap();
+        assert_eq!(world.snapshot_of(pa).unwrap(), live);
+        let recovered: ProfileAgent = serde_json::from_value(live).unwrap();
+        assert_eq!(recovered.maintenance_passes(), 2);
     }
 
     #[test]

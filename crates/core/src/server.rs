@@ -217,11 +217,12 @@ impl PlatformBuilder {
         let mut markets = Vec::new();
         for (i, listings) in self.listings_per_market.iter().enumerate() {
             let market_host = world.add_host(format!("marketplace-{i}"));
+            let mut market = MarketplaceAgent::new(format!("m{i}"));
+            if self.durability.is_some() {
+                market = market.with_durability();
+            }
             let market_agent = world
-                .create_agent(
-                    market_host,
-                    Box::new(MarketplaceAgent::new(format!("m{i}"))),
-                )
+                .create_agent(market_host, Box::new(market))
                 .expect("create marketplace");
             markets.push(MarketRef {
                 host: market_host,
@@ -836,11 +837,12 @@ impl ShardedPlatformBuilder {
         let mut markets = Vec::new();
         for (i, listings) in self.listings_per_market.iter().enumerate() {
             let market_host = world.add_host(0, format!("marketplace-{i}"));
+            let mut market = MarketplaceAgent::new(format!("m{i}"));
+            if self.durability.is_some() {
+                market = market.with_durability();
+            }
             let market_agent = world
-                .create_agent(
-                    market_host,
-                    Box::new(MarketplaceAgent::new(format!("m{i}"))),
-                )
+                .create_agent(market_host, Box::new(market))
                 .expect("create marketplace");
             markets.push(MarketRef {
                 host: market_host,

@@ -177,6 +177,13 @@ impl UserDb {
         Ok(())
     }
 
+    /// Drop the store's write-ahead log, keeping the tables: for an owner
+    /// that journals the database itself, as the PA does through its
+    /// capsule and behaviour deltas.
+    pub fn clear_log(&mut self) {
+        self.store.clear_log();
+    }
+
     /// Snapshot + WAL for crash-recovery tests; see
     /// [`simdb::JsonStore::recover`].
     pub fn durable_state(&self) -> (Vec<u8>, Vec<u8>) {

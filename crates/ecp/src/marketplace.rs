@@ -21,7 +21,7 @@ use crate::protocol::{
     NegotiateCounter, NegotiateOffer, Offer, QueryRequest, QueryResponse, TopSellers,
     TopSellersList,
 };
-use agentsim::agent::{Agent, Ctx};
+use agentsim::agent::{Agent, Ctx, DurablePolicy};
 use agentsim::clock::SimDuration;
 use agentsim::ids::AgentId;
 use agentsim::message::Message;
@@ -112,6 +112,52 @@ struct OpenAuction {
     tick_us: Option<u64>,
 }
 
+/// One marketplace mutation. Every state change goes through
+/// [`MarketplaceAgent::apply`]: the live handlers call it (journalling the
+/// change first when durable) and crash recovery replays the journalled
+/// changes through it, so the two paths cannot drift apart. Queries,
+/// ledger lookups and rejected requests change nothing and are never
+/// journalled.
+#[derive(Debug, Serialize, Deserialize)]
+enum Change {
+    /// Seller listings pushed via [`kinds::CATALOG_SYNC`].
+    Catalog(Vec<Listing>),
+    /// A direct sale, ledgered under the buyer's intent if it has one.
+    Sale(BuyRequest),
+    /// One buyer offer in a negotiation.
+    Negotiate {
+        buyer: AgentId,
+        offer: NegotiateOffer,
+    },
+    /// An English or sealed-bid auction opens.
+    Open(AuctionOpen),
+    /// A Dutch clock auction opens.
+    OpenDutch(DutchOpen),
+    /// A bidder joins an auction.
+    Join { bidder: AgentId, item: ItemId },
+    /// A bid is placed; the bidder joins the auction too.
+    Bid { bidder: AgentId, bid: AuctionBid },
+    /// A Dutch clock ticks down one step.
+    Tick(u64),
+    /// An auction closes and settles.
+    Settle(u64),
+}
+
+/// What applying a [`Change`] produced: the live handler replies from
+/// it, recovery ignores it.
+enum Applied {
+    /// Nothing to report.
+    Done,
+    /// The seller's answer to a negotiation offer.
+    Negotiation(SellerResponse),
+    /// Whether a bid was accepted.
+    Bid(bool),
+    /// Whether a Dutch clock dropped its price (`false`: floored out).
+    Ticked(bool),
+    /// A settled auction's joiners and outcome.
+    Settled(BTreeSet<AgentId>, AuctionOutcome),
+}
+
 /// The marketplace service agent. Static; safe to snapshot.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct MarketplaceAgent {
@@ -127,6 +173,10 @@ pub struct MarketplaceAgent {
     /// together these give crashed buyers at-most-once purchases.
     #[serde(default)]
     ledger: BTreeMap<u64, BuyConfirm>,
+    /// Journal every [`Change`] as a WAL delta instead of having the
+    /// platform snapshot the whole catalog per callback.
+    #[serde(default)]
+    durable: bool,
 }
 
 impl MarketplaceAgent {
@@ -139,7 +189,15 @@ impl MarketplaceAgent {
             negotiations: Vec::new(),
             auctions: BTreeMap::new(),
             ledger: BTreeMap::new(),
+            durable: false,
         }
+    }
+
+    /// Journal state changes as durable deltas (replayed on crash
+    /// recovery). Only meaningful on a world with durability enabled.
+    pub fn with_durability(mut self) -> Self {
+        self.durable = true;
+        self
     }
 
     /// The ledger entry recorded for `intent`, if that purchase committed.
@@ -159,6 +217,142 @@ impl MarketplaceAgent {
 
     fn record_sale(&mut self, item: u64) {
         *self.sales.entry(item).or_insert(0) += 1;
+    }
+
+    /// Apply `change`, journalling it first when durable: the delta
+    /// reaches the WAL before any reply it causes leaves.
+    fn commit(&mut self, ctx: &mut Ctx<'_>, change: Change) -> Applied {
+        if self.durable {
+            match serde_json::to_value(&change) {
+                Ok(delta) => ctx.journal_delta(delta),
+                Err(e) => ctx.note(format!("marketplace: change serialize failed: {e}")),
+            }
+        }
+        self.apply(change)
+    }
+
+    /// The one place marketplace state changes (see [`Change`]).
+    fn apply(&mut self, change: Change) -> Applied {
+        match change {
+            Change::Catalog(listings) => {
+                for listing in listings {
+                    self.listings.insert(listing.item.id.0, listing);
+                }
+            }
+            Change::Sale(req) => {
+                if let Some(item) = self.merchandise(req.item).cloned() {
+                    self.record_sale(req.item.0);
+                    if let Some(intent) = req.intent {
+                        let price = item.list_price;
+                        self.ledger.insert(intent, BuyConfirm { item, price });
+                    }
+                }
+            }
+            Change::Negotiate { buyer, offer } => {
+                let Some(listing) = self.listings.get(&offer.item.0) else {
+                    return Applied::Done;
+                };
+                let policy = SellerPolicy {
+                    list: listing.item.list_price,
+                    reservation: listing.reservation,
+                    concession: listing.concession,
+                    strategy: Default::default(),
+                };
+                let item = listing.item.clone();
+                let idx = self
+                    .negotiations
+                    .iter()
+                    .position(|n| n.buyer == buyer && n.item == offer.item.0);
+                let idx = match idx {
+                    Some(i) => i,
+                    None => {
+                        self.negotiations.push(OpenNegotiation {
+                            buyer,
+                            item: offer.item.0,
+                            session: SellerSession::open(policy),
+                        });
+                        self.negotiations.len() - 1
+                    }
+                };
+                let response = self.negotiations[idx].session.respond(offer.offer);
+                if let SellerResponse::Accept(price) = response {
+                    self.negotiations.swap_remove(idx);
+                    self.record_sale(offer.item.0);
+                    if let Some(intent) = offer.intent {
+                        self.ledger.insert(intent, BuyConfirm { item, price });
+                    }
+                }
+                return Applied::Negotiation(response);
+            }
+            Change::Open(open) => {
+                let engine = if open.sealed {
+                    AuctionEngine::Sealed(VickreyAuction::open(open.item, open.reserve))
+                } else {
+                    AuctionEngine::English(EnglishAuction::open(
+                        open.item,
+                        open.reserve,
+                        open.increment,
+                    ))
+                };
+                self.auctions.insert(
+                    open.item.0,
+                    OpenAuction {
+                        engine,
+                        joiners: BTreeSet::new(),
+                        tick_us: None,
+                    },
+                );
+            }
+            Change::OpenDutch(open) => {
+                let engine = AuctionEngine::Dutch(DutchAuction::open(
+                    open.item,
+                    open.start,
+                    open.floor,
+                    open.decrement,
+                ));
+                self.auctions.insert(
+                    open.item.0,
+                    OpenAuction {
+                        engine,
+                        joiners: BTreeSet::new(),
+                        tick_us: Some(open.tick_us),
+                    },
+                );
+            }
+            Change::Join { bidder, item } => {
+                if let Some(entry) = self.auctions.get_mut(&item.0) {
+                    entry.joiners.insert(bidder);
+                }
+            }
+            Change::Bid { bidder, bid } => {
+                let Some(entry) = self.auctions.get_mut(&bid.item.0) else {
+                    return Applied::Done;
+                };
+                entry.joiners.insert(bidder);
+                let placed = entry.engine.place_bid(BidderId(bidder.0), bid.amount);
+                return Applied::Bid(placed.is_ok());
+            }
+            Change::Tick(item_key) => {
+                if let Some(OpenAuction {
+                    engine: AuctionEngine::Dutch(dutch),
+                    ..
+                }) = self.auctions.get_mut(&item_key)
+                {
+                    return Applied::Ticked(dutch.tick());
+                }
+            }
+            Change::Settle(item_key) => {
+                let Some(mut entry) = self.auctions.remove(&item_key) else {
+                    return Applied::Done;
+                };
+                let outcome = entry.engine.close();
+                if matches!(outcome, AuctionOutcome::Sold { .. }) {
+                    self.record_sale(item_key);
+                }
+                return Applied::Settled(entry.joiners, outcome);
+            }
+        }
+        Applied::Done
     }
 
     fn merchandise(&self, item: ItemId) -> Option<&Merchandise> {
@@ -221,12 +415,9 @@ impl MarketplaceAgent {
         }
         match self.merchandise(req.item).cloned() {
             Some(item) => {
-                self.record_sale(req.item.0);
+                self.commit(ctx, Change::Sale(req));
                 let price = item.list_price;
                 let confirm = BuyConfirm { item, price };
-                if let Some(intent) = req.intent {
-                    self.ledger.insert(intent, confirm.clone());
-                }
                 let reply = Message::new(kinds::BUY_CONFIRM)
                     .with_payload(&confirm)
                     .expect("buy confirm serializes");
@@ -253,48 +444,20 @@ impl MarketplaceAgent {
             ctx.note("marketplace: negotiation from outside the world ignored");
             return;
         };
-        let Some(listing) = self.listings.get(&offer.item.0) else {
+        if !self.listings.contains_key(&offer.item.0) {
             ctx.reply(msg, Message::new(kinds::NEGOTIATE_REJECT));
             return;
+        }
+        let Applied::Negotiation(response) = self.commit(ctx, Change::Negotiate { buyer, offer })
+        else {
+            return;
         };
-        let policy = SellerPolicy {
-            list: listing.item.list_price,
-            reservation: listing.reservation,
-            concession: listing.concession,
-            strategy: Default::default(),
-        };
-        let idx = self
-            .negotiations
-            .iter()
-            .position(|n| n.buyer == buyer && n.item == offer.item.0);
-        let idx = match idx {
-            Some(i) => i,
-            None => {
-                self.negotiations.push(OpenNegotiation {
-                    buyer,
-                    item: offer.item.0,
-                    session: SellerSession::open(policy),
-                });
-                self.negotiations.len() - 1
-            }
-        };
-        match self.negotiations[idx].session.respond(offer.offer) {
+        match response {
             SellerResponse::Accept(price) => {
                 let item = self
                     .merchandise(offer.item)
                     .cloned()
                     .expect("listing checked above");
-                self.negotiations.swap_remove(idx);
-                self.record_sale(offer.item.0);
-                if let Some(intent) = offer.intent {
-                    self.ledger.insert(
-                        intent,
-                        BuyConfirm {
-                            item: item.clone(),
-                            price,
-                        },
-                    );
-                }
                 let reply = Message::new(kinds::NEGOTIATE_ACCEPT)
                     .with_payload(&NegotiateAccept { item, price })
                     .expect("accept serializes");
@@ -337,23 +500,7 @@ impl MarketplaceAgent {
             }
             return;
         }
-        let engine = if open.sealed {
-            AuctionEngine::Sealed(VickreyAuction::open(open.item, open.reserve))
-        } else {
-            AuctionEngine::English(EnglishAuction::open(
-                open.item,
-                open.reserve,
-                open.increment,
-            ))
-        };
-        self.auctions.insert(
-            open.item.0,
-            OpenAuction {
-                engine,
-                joiners: BTreeSet::new(),
-                tick_us: None,
-            },
-        );
+        self.commit(ctx, Change::Open(open));
         ctx.set_timer(SimDuration::from_micros(open.duration_us), open.item.0);
         ctx.note(format!(
             "auction opened on {} ({})",
@@ -373,20 +520,7 @@ impl MarketplaceAgent {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
         }
-        let engine = AuctionEngine::Dutch(DutchAuction::open(
-            open.item,
-            open.start,
-            open.floor,
-            open.decrement,
-        ));
-        self.auctions.insert(
-            open.item.0,
-            OpenAuction {
-                engine,
-                joiners: BTreeSet::new(),
-                tick_us: Some(open.tick_us),
-            },
-        );
+        self.commit(ctx, Change::OpenDutch(open));
         ctx.set_timer(
             SimDuration::from_micros(open.tick_us),
             open.item.0 | DUTCH_TICK_BIT,
@@ -403,16 +537,16 @@ impl MarketplaceAgent {
     /// One Dutch clock tick: drop the price and tell the joiners, or
     /// settle unsold at the floor.
     fn dutch_tick(&mut self, ctx: &mut Ctx<'_>, item_key: u64) {
-        let Some(entry) = self.auctions.get_mut(&item_key) else {
-            return; // sold (and settled) before this tick fired
-        };
-        let AuctionEngine::Dutch(dutch) = &mut entry.engine else {
-            return;
-        };
-        if dutch.is_closed() {
+        // absent: sold (and settled) before this tick fired
+        let ticking = matches!(
+            self.auctions.get(&item_key),
+            Some(OpenAuction { engine: AuctionEngine::Dutch(dutch), .. }) if !dutch.is_closed()
+        );
+        if !ticking {
             return;
         }
-        if dutch.tick() {
+        if let Applied::Ticked(true) = self.commit(ctx, Change::Tick(item_key)) {
+            let entry = &self.auctions[&item_key];
             let tick_us = entry.tick_us.unwrap_or(1_000_000);
             let joiners: Vec<AgentId> = entry.joiners.iter().copied().collect();
             let status = self.auction_status(ItemId(item_key)).expect("entry exists");
@@ -433,11 +567,17 @@ impl MarketplaceAgent {
         let Some(from) = msg.from else {
             return;
         };
-        let Some(entry) = self.auctions.get_mut(&join.item.0) else {
+        if !self.auctions.contains_key(&join.item.0) {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
-        };
-        entry.joiners.insert(from);
+        }
+        self.commit(
+            ctx,
+            Change::Join {
+                bidder: from,
+                item: join.item,
+            },
+        );
         let status = self.auction_status(join.item).expect("entry exists");
         let reply = Message::new(kinds::AUCTION_STATUS)
             .with_payload(&status)
@@ -449,62 +589,61 @@ impl MarketplaceAgent {
         let Some(from) = msg.from else {
             return;
         };
-        let Some(entry) = self.auctions.get_mut(&bid.item.0) else {
+        if !self.auctions.contains_key(&bid.item.0) {
             ctx.reply(msg, Message::new(kinds::BID_REJECTED));
             return;
-        };
-        entry.joiners.insert(from);
+        }
+        let accepted = matches!(
+            self.commit(ctx, Change::Bid { bidder: from, bid }),
+            Applied::Bid(true)
+        );
+        let status = self.auction_status(bid.item).expect("entry exists");
+        if !accepted {
+            let reply = Message::new(kinds::BID_REJECTED)
+                .with_payload(&status)
+                .expect("status serializes");
+            ctx.reply(msg, reply);
+            return;
+        }
+        let entry = &self.auctions[&bid.item.0];
         let sealed = entry.engine.is_sealed();
-        match entry.engine.place_bid(BidderId(from.0), bid.amount) {
-            Ok(()) => {
-                let joiners: Vec<AgentId> = entry.joiners.iter().copied().collect();
-                let settled_by_bid = entry.engine.is_closed(); // Dutch: first taker wins
-                let status = self.auction_status(bid.item).expect("entry exists");
-                let reply = Message::new(kinds::BID_ACCEPTED)
-                    .with_payload(&status)
-                    .expect("status serializes");
-                ctx.reply(msg, reply);
-                if settled_by_bid {
-                    self.settle_auction(ctx, bid.item.0);
-                    return;
+        let joiners: Vec<AgentId> = entry.joiners.iter().copied().collect();
+        let settled_by_bid = entry.engine.is_closed(); // Dutch: first taker wins
+        let reply = Message::new(kinds::BID_ACCEPTED)
+            .with_payload(&status)
+            .expect("status serializes");
+        ctx.reply(msg, reply);
+        if settled_by_bid {
+            self.settle_auction(ctx, bid.item.0);
+            return;
+        }
+        // outbid notification (open auctions only — sealed bids are
+        // secret): every other joiner learns the new price floor and may
+        // counter-bid
+        if !sealed {
+            for joiner in joiners {
+                if joiner != from {
+                    let notice = Message::new(kinds::AUCTION_STATUS)
+                        .with_payload(&status)
+                        .expect("status serializes");
+                    ctx.send(joiner, notice);
                 }
-                // outbid notification (open auctions only — sealed bids
-                // are secret): every other joiner learns the new price
-                // floor and may counter-bid
-                if !sealed {
-                    for joiner in joiners {
-                        if joiner != from {
-                            let notice = Message::new(kinds::AUCTION_STATUS)
-                                .with_payload(&status)
-                                .expect("status serializes");
-                            ctx.send(joiner, notice);
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                let status = self.auction_status(bid.item).expect("entry exists");
-                let reply = Message::new(kinds::BID_REJECTED)
-                    .with_payload(&status)
-                    .expect("status serializes");
-                ctx.reply(msg, reply);
             }
         }
     }
 
     fn settle_auction(&mut self, ctx: &mut Ctx<'_>, item_key: u64) {
-        let Some(mut entry) = self.auctions.remove(&item_key) else {
+        if !self.auctions.contains_key(&item_key) {
+            return;
+        }
+        let Applied::Settled(joiners, outcome) = self.commit(ctx, Change::Settle(item_key)) else {
             return;
         };
-        let outcome = entry.engine.close();
-        if matches!(outcome, AuctionOutcome::Sold { .. }) {
-            self.record_sale(item_key);
-        }
         let Some(item) = self.merchandise(ItemId(item_key)).cloned() else {
             return;
         };
         ctx.note(format!("auction closed on {}", ItemId(item_key)));
-        for joiner in &entry.joiners {
+        for joiner in &joiners {
             let you_won = matches!(
                 outcome,
                 AuctionOutcome::Sold { winner, .. } if winner == BidderId(joiner.0)
@@ -548,13 +687,42 @@ impl Agent for MarketplaceAgent {
         serde_json::to_value(self).expect("marketplace state serializes")
     }
 
+    fn durable_policy(&self) -> DurablePolicy {
+        if self.durable {
+            DurablePolicy::Deltas
+        } else {
+            DurablePolicy::Capsule
+        }
+    }
+
+    fn on_recovered(&mut self, ctx: &mut Ctx<'_>, deltas: &[serde_json::Value]) {
+        // apply, not commit: the WAL already holds these changes
+        let mut replayed = 0usize;
+        for delta in deltas {
+            match <Change as serde::Deserialize>::deserialize_value(delta) {
+                Ok(change) => {
+                    self.apply(change);
+                    replayed += 1;
+                }
+                Err(e) => ctx.note(format!(
+                    "marketplace {}: unreadable journalled change skipped: {e}",
+                    self.name
+                )),
+            }
+        }
+        if replayed > 0 {
+            ctx.note(format!(
+                "marketplace {}: recovered, replayed {replayed} journalled changes",
+                self.name
+            ));
+        }
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         match msg.kind.as_str() {
             kinds::CATALOG_SYNC => {
                 if let Ok(sync) = msg.payload_as::<CatalogSync>() {
-                    for listing in sync.listings {
-                        self.listings.insert(listing.item.id.0, listing);
-                    }
+                    self.commit(ctx, Change::Catalog(sync.listings));
                     ctx.reply(&msg, Message::new(kinds::CATALOG_ACK));
                 }
             }
@@ -673,11 +841,19 @@ mod tests {
     struct Fixture {
         world: SimWorld,
         market: AgentId,
+        market_host: agentsim::ids::HostId,
         probe: AgentId,
     }
 
     fn fixture() -> Fixture {
+        fixture_with(None)
+    }
+
+    fn fixture_with(durability: Option<agentsim::durable::DurabilityConfig>) -> Fixture {
         let mut world = SimWorld::new(77);
+        if let Some(cfg) = durability {
+            world.enable_durability(cfg);
+        }
         world
             .registry_mut()
             .register_serde::<MarketplaceAgent>(MARKETPLACE_TYPE);
@@ -692,11 +868,15 @@ mod tests {
             m.listings
                 .insert(i as u64 + 1, listing(i as u64 + 1, name, *price));
         }
+        if durability.is_some() {
+            m = m.with_durability();
+        }
         let market = world.create_agent(mh, Box::new(m)).unwrap();
         let probe = world.create_agent(bh, Box::new(Probe::default())).unwrap();
         Fixture {
             world,
             market,
+            market_host: mh,
             probe,
         }
     }
@@ -1070,5 +1250,100 @@ mod tests {
         assert_eq!(list.items.len(), 2);
         assert_eq!(list.items[0].0.id, ItemId(2));
         assert_eq!(list.items[0].1, 3);
+    }
+
+    /// Every kind of change a durable marketplace journals, replayed over
+    /// its baseline capsule after a crash, rebuilds exactly the live
+    /// state — and the host journals that baseline once, not a capsule per
+    /// callback.
+    #[test]
+    fn durable_marketplace_replays_its_changes_to_the_live_state() {
+        let mut f = fixture_with(Some(agentsim::durable::DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every: 1,
+        }));
+        via_probe(
+            &mut f,
+            kinds::CATALOG_SYNC,
+            &CatalogSync {
+                seller: 1,
+                listings: vec![listing(4, "Zig Book", 40)],
+            },
+        );
+        via_probe(
+            &mut f,
+            kinds::BUY_REQUEST,
+            &BuyRequest {
+                item: ItemId(1),
+                intent: Some(77),
+            },
+        );
+        via_probe(
+            &mut f,
+            kinds::NEGOTIATE_OFFER,
+            &NegotiateOffer {
+                item: ItemId(2),
+                offer: Money::from_units(5),
+                intent: None,
+            },
+        );
+        assert_eq!(
+            probe_state(&f).last_kind.as_deref(),
+            Some(kinds::NEGOTIATE_COUNTER)
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_OPEN,
+            &AuctionOpen {
+                item: ItemId(3),
+                reserve: Money::from_units(10),
+                increment: Money::from_units(1),
+                duration_us: 60_000_000,
+                sealed: false,
+            },
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_BID,
+            &AuctionBid {
+                item: ItemId(3),
+                amount: Money::from_units(12),
+            },
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::DUTCH_OPEN,
+            &DutchOpen {
+                item: ItemId(4),
+                start: Money::from_units(40),
+                floor: Money::from_units(10),
+                decrement: Money::from_units(5),
+                tick_us: 4_000,
+            },
+        );
+        via_probe_bounded(
+            &mut f,
+            kinds::AUCTION_JOIN,
+            &AuctionJoin { item: ItemId(4) },
+        );
+        let live = f.world.snapshot_of(f.market).unwrap();
+        let store = f.world.durable_store(f.market_host).unwrap();
+        let wal = simdb::wal::Wal::decode(&store.wal_bytes()).unwrap();
+        let capsules = wal
+            .records()
+            .iter()
+            .filter(|r| matches!(r, simdb::wal::LogRecord::Capsule { .. }))
+            .count();
+        assert_eq!(capsules, 1, "only the baseline capsule is journalled");
+        let deltas = store.state().deltas_for(f.market.0).len();
+        assert!(deltas >= 8, "every change journals a delta: {deltas}");
+
+        f.world.crash_host(f.market_host).unwrap();
+        f.world.restart_host(f.market_host).unwrap();
+        assert_eq!(f.world.snapshot_of(f.market).unwrap(), live);
+        assert_eq!(f.world.metrics().profile_deltas_replayed, deltas as u64);
+        let market: MarketplaceAgent = serde_json::from_value(live).unwrap();
+        assert_eq!(market.units_sold(ItemId(1)), 1);
+        assert!(market.ledger_entry(77).is_some());
     }
 }

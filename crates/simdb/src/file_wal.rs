@@ -103,12 +103,9 @@ impl FileWal {
     ///
     /// [`DbError::Io`] if the write fails.
     pub fn append(&mut self, record: &LogRecord) -> Result<()> {
-        // a LogRecord is a plain enum of strings/values; serialization
-        // cannot fail
-        let line =
-            serde_json::to_string(record).map_err(|e| DbError::Serialization(e.to_string()))?;
+        let mut line = String::new();
+        record.write_line(&mut line);
         self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
         self.records += 1;
         Ok(())
     }

@@ -323,6 +323,14 @@ impl JsonStore {
         self.wal.len()
     }
 
+    /// Drop the log without snapshotting the tables. For an embedded
+    /// store whose owner already journals the rows itself (an agent's
+    /// capsule or delta journal): the log would be a second copy that only
+    /// grows.
+    pub fn clear_log(&mut self) {
+        self.wal.truncate();
+    }
+
     /// Checkpoint: return a fresh snapshot and truncate the WAL.
     pub fn checkpoint(&mut self) -> Vec<u8> {
         let snap = self.snapshot();
@@ -479,6 +487,16 @@ mod tests {
         wal.extend_from_slice(b"{\"Put\":{\"tab"); // torn write
         let recovered = JsonStore::recover("test", b"", &wal).unwrap();
         assert_eq!(recovered.get("t", "b"), Some(&json!({"x": [1, 2]})));
+    }
+
+    #[test]
+    fn clear_log_keeps_the_tables() {
+        let mut db = store_with_data();
+        let snapshot = db.snapshot();
+        db.clear_log();
+        assert_eq!(db.wal_len(), 0);
+        assert_eq!(db.snapshot(), snapshot);
+        assert_eq!(db.get("t", "b"), Some(&json!({"x": [1, 2]})));
     }
 
     #[test]

@@ -4,9 +4,101 @@
 //! before it is applied. Recovery replays the log over the last snapshot,
 //! so a crash between checkpoint and crash-point loses nothing. The
 //! encoding is newline-delimited JSON, chosen for debuggability.
+//!
+//! Agent capsules and state deltas are the bulk of a durable runtime's
+//! log, so their bodies travel as [`EncodedJson`]: serialized once, shared
+//! by reference, and spliced verbatim into the log line.
 
 use crate::error::{DbError, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
+use std::sync::Arc;
+
+/// A JSON document encoded once and shared: clones bump a reference
+/// count, and [`Wal::encode`] writes the bytes as they are. It holds the
+/// compact encoding `Value`'s `Display` produces, so equal documents
+/// compare equal byte for byte.
+#[derive(Clone, PartialEq, Eq)]
+pub struct EncodedJson(Arc<str>);
+
+impl EncodedJson {
+    /// Wrap text that is already compact JSON (e.g. the `Display` of a
+    /// [`Value`]). Not checked; feeding anything else corrupts the log.
+    pub fn from_encoded(json: String) -> Self {
+        EncodedJson(json.into())
+    }
+
+    /// The encoded text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// Encoded length in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the encoding is empty (never, for a valid document).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Parse the document back into a value tree.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Serialization`] if the text is not JSON.
+    pub fn to_value(&self) -> Result<Value> {
+        serde_json::from_str(&self.0).map_err(|e| DbError::Serialization(e.to_string()))
+    }
+
+    /// Parse the document into a typed value.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Serialization`] if the text does not decode as `T`.
+    pub fn parse<T: serde::de::DeserializeOwned>(&self) -> Result<T> {
+        serde_json::from_str(&self.0).map_err(|e| DbError::Serialization(e.to_string()))
+    }
+}
+
+impl From<&Value> for EncodedJson {
+    fn from(value: &Value) -> Self {
+        EncodedJson::from_encoded(value.to_string())
+    }
+}
+
+impl From<Value> for EncodedJson {
+    fn from(value: Value) -> Self {
+        EncodedJson::from(&value)
+    }
+}
+
+impl fmt::Debug for EncodedJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Display for EncodedJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Serialize for EncodedJson {
+    /// The value-tree path (snapshots, generic `to_string`) re-parses the
+    /// document; [`Wal::encode`] splices the bytes instead.
+    fn serialize_value(&self) -> Value {
+        self.to_value().unwrap_or(Value::Null)
+    }
+}
+
+impl Deserialize for EncodedJson {
+    fn deserialize_value(v: &Value) -> std::result::Result<Self, serde::Error> {
+        Ok(EncodedJson::from(v))
+    }
+}
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,8 +130,8 @@ pub enum LogRecord {
     Capsule {
         /// Raw agent id (`AgentId.0`).
         agent: u64,
-        /// The serialized [`AgentCapsule`] as produced by the runtime.
-        capsule: serde_json::Value,
+        /// The serialized `AgentCapsule` as produced by the runtime.
+        capsule: EncodedJson,
         /// Whether the agent was active (vs deactivated) when logged.
         active: bool,
     },
@@ -78,8 +170,35 @@ pub enum LogRecord {
         /// Raw agent id of the profile owner (the journaling agent).
         agent: u64,
         /// The delta payload, replayed through `Agent::on_recovered`.
-        delta: serde_json::Value,
+        delta: EncodedJson,
     },
+}
+
+impl LogRecord {
+    /// Append this record's log line (its compact JSON plus `\n`) to
+    /// `out`. Byte-identical to `serde_json::to_string(self)`; capsule and
+    /// delta bodies are copied in as encoded rather than re-serialized.
+    pub fn write_line(&self, out: &mut String) {
+        use std::fmt::Write;
+        // writing into a String cannot fail
+        let _ = match self {
+            LogRecord::Capsule {
+                agent,
+                capsule,
+                active,
+            } => writeln!(
+                out,
+                r#"{{"Capsule":{{"active":{active},"agent":{agent},"capsule":{capsule}}}}}"#
+            ),
+            LogRecord::ProfileDelta { agent, delta } => writeln!(
+                out,
+                r#"{{"ProfileDelta":{{"agent":{agent},"delta":{delta}}}}}"#
+            ),
+            // a LogRecord is a plain enum of strings/values; serialization
+            // cannot fail
+            other => writeln!(out, "{}", other.serialize_value()),
+        };
+    }
 }
 
 /// An append-only operation log.
@@ -129,15 +248,11 @@ impl Wal {
 
     /// Serialize to newline-delimited JSON.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = String::new();
         for r in &self.records {
-            // a LogRecord is a plain enum of strings/values; serialization
-            // cannot fail
-            let line = serde_json::to_string(r).expect("log record serializes");
-            out.extend_from_slice(line.as_bytes());
-            out.push(b'\n');
+            r.write_line(&mut out);
         }
-        out
+        out.into_bytes()
     }
 
     /// Decode a log previously produced by [`Wal::encode`]. Trailing
@@ -242,7 +357,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(LogRecord::Capsule {
             agent: 7,
-            capsule: serde_json::json!({"state": {"x": 1}}),
+            capsule: serde_json::json!({"state": {"x": 1}}).into(),
             active: true,
         });
         wal.append(LogRecord::PurchaseIntent {
@@ -259,11 +374,41 @@ mod tests {
         });
         wal.append(LogRecord::ProfileDelta {
             agent: 9,
-            delta: serde_json::json!({"kind": "Purchase"}),
+            delta: serde_json::json!({"kind": "Purchase", "w": [0.5, -2]}).into(),
         });
         wal.append(LogRecord::CapsuleGone { agent: 7 });
         let decoded = Wal::decode(&wal.encode()).unwrap();
         assert_eq!(decoded, wal);
+    }
+
+    #[test]
+    fn spliced_lines_match_the_serializer() {
+        let records = [
+            LogRecord::Capsule {
+                agent: 7,
+                capsule: serde_json::json!({"id": 7, "s": "a\"b", "f": 1.0}).into(),
+                active: false,
+            },
+            LogRecord::ProfileDelta {
+                agent: u64::MAX,
+                delta: serde_json::json!([1, {"k": null}]).into(),
+            },
+            LogRecord::CapsuleGone { agent: 3 },
+            put("t", "a", -1),
+        ];
+        for r in &records {
+            let mut line = String::new();
+            r.write_line(&mut line);
+            assert_eq!(line, format!("{}\n", serde_json::to_string(r).unwrap()));
+        }
+    }
+
+    #[test]
+    fn encoded_json_round_trips_through_a_value() {
+        let v = serde_json::json!({"b": [1.5, 2.0, -3], "a": "x\ny"});
+        let e = EncodedJson::from(&v);
+        assert_eq!(e.to_value().unwrap(), v);
+        assert_eq!(EncodedJson::from(e.to_value().unwrap()), e);
     }
 
     #[test]

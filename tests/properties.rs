@@ -764,7 +764,9 @@ fn arbitrary_json(tokens: &[u64]) -> serde_json::Value {
 
 // --- durability / WAL replay properties -------------------------------
 
-use abcrm::agentsim::durable::{DurabilityConfig, DurableStore, IntentState};
+use abcrm::agentsim::agent::DurablePolicy;
+use abcrm::agentsim::durable::{Boundary, DurabilityConfig, DurableStore, IntentState};
+use abcrm::simdb::wal::LogRecord;
 
 /// One durability op per tuple: `(kind, agent, intent, value)`.
 fn durable_ops_strategy() -> impl Strategy<Value = Vec<(u8, u64, u64, i64)>> {
@@ -781,7 +783,57 @@ fn apply_durable_op(store: &mut DurableStore, op: (u8, u64, u64, i64)) {
         4 => store.log_commit(intent, v).unwrap(),
         5 => store.log_abort(intent, format!("abort {value}")).unwrap(),
         6 => store.log_delta(agent, v).unwrap(),
-        _ => store.checkpoint(Vec::new()).unwrap(),
+        _ => {
+            // agents 0..3 journal deltas; the store's capture rule picks
+            // which of them this checkpoint re-captures — the others keep
+            // their deltas in the snapshot
+            let fresh = (0..3)
+                .filter(|a| store.wants_capture(*a, DurablePolicy::Deltas, Boundary::Checkpoint))
+                .map(|a| (a, serde_json::json!({ "captured": value }).into()))
+                .collect();
+            store.checkpoint(fresh).unwrap()
+        }
+    }
+}
+
+/// Durability ops, mostly capsules, over a tiny value domain so that
+/// identical capsules repeat (kinds 7.. fold into capsule op 0).
+fn repeating_ops_strategy() -> impl Strategy<Value = Vec<(u8, u64, u64, i64)>> {
+    proptest::collection::vec((0u8..16, 0u64..2, 0u64..6, 0i64..2), 1..80)
+}
+
+/// What one op appends under a policy that writes every record, or
+/// `None` for an op that appends nothing. Mirrors `apply_durable_op`
+/// without its checkpoints; the bool says whether the record is forced.
+fn logged_record(op: (u8, u64, u64, i64)) -> (LogRecord, bool) {
+    let (kind, agent, intent, value) = op;
+    let v = serde_json::json!({ "v": value });
+    match kind {
+        0 | 1 => (
+            LogRecord::Capsule {
+                agent,
+                capsule: v.into(),
+                active: value % 2 == 0,
+            },
+            false,
+        ),
+        2 => (LogRecord::CapsuleGone { agent }, true),
+        3 => (LogRecord::PurchaseIntent { intent, detail: v }, true),
+        4 => (LogRecord::PurchaseCommit { intent, detail: v }, true),
+        5 => (
+            LogRecord::PurchaseAbort {
+                intent,
+                reason: format!("abort {value}"),
+            },
+            true,
+        ),
+        _ => (
+            LogRecord::ProfileDelta {
+                agent,
+                delta: v.into(),
+            },
+            false,
+        ),
     }
 }
 
@@ -804,10 +856,15 @@ proptest! {
             apply_durable_op(&mut store, op);
         }
         let first =
-            DurableStore::replay_bytes(store.snapshot_bytes(), &store.wal_bytes()).unwrap();
+            DurableStore::replay_bytes(&store.snapshot_bytes(), &store.wal_bytes()).unwrap();
         prop_assert_eq!(&first.state, store.state(), "recovery diverged from live state");
+        prop_assert_eq!(
+            &store.recover().unwrap().state,
+            store.state(),
+            "in-memory recovery diverged from live state"
+        );
         let second =
-            DurableStore::replay_bytes(store.snapshot_bytes(), &store.wal_bytes()).unwrap();
+            DurableStore::replay_bytes(&store.snapshot_bytes(), &store.wal_bytes()).unwrap();
         prop_assert_eq!(first.state, second.state, "recovery is not a pure function");
     }
 
@@ -827,7 +884,7 @@ proptest! {
         for op in ops {
             apply_durable_op(&mut store, op);
         }
-        let snapshot = store.snapshot_bytes().to_vec();
+        let snapshot = store.snapshot_bytes();
         let full = Wal::decode(&store.wal_bytes()).unwrap();
         let mut prev_committed: Vec<u64> = Vec::new();
         for n in 0..=full.len() {
@@ -897,5 +954,36 @@ proptest! {
         let after = store.state().clone();
         store.crash().unwrap();
         prop_assert_eq!(store.state(), &after, "crash is not idempotent");
+    }
+
+    /// Skipping a capsule identical to the agent's current one changes no
+    /// crash outcome: with identical capsules repeating under a batched
+    /// sync, the state that survives a crash equals what survives of a
+    /// log that wrote every record (and synced every `sync_every`).
+    #[test]
+    fn crash_preserves_what_a_log_writing_unchanged_capsules_keeps(
+        ops in repeating_ops_strategy(),
+    ) {
+        let sync_every = 4;
+        let mut store = DurableStore::new(DurabilityConfig {
+            checkpoint_every: 0,
+            sync_every,
+        });
+        let mut every_record = Wal::new();
+        let mut synced = 0;
+        for (kind, agent, intent, value) in ops {
+            let op = (if kind >= 7 { 0 } else { kind }, agent, intent, value);
+            apply_durable_op(&mut store, op);
+            let (record, forced) = logged_record(op);
+            every_record.append(record);
+            if forced || every_record.len() - synced >= sync_every {
+                synced = every_record.len();
+            }
+        }
+        prop_assert!(store.wal_len() <= every_record.len());
+        store.crash().unwrap();
+        every_record.retain_prefix(synced);
+        let expected = DurableStore::replay_bytes(b"", &every_record.encode()).unwrap();
+        prop_assert_eq!(store.state(), &expected.state);
     }
 }

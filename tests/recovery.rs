@@ -662,6 +662,139 @@ fn checkpoints_bound_replay_cost() {
 }
 
 // ---------------------------------------------------------------------
+// marketplace host crash: the seller side recovers its sales and ledger
+// ---------------------------------------------------------------------
+
+/// Test buyer standing in for a visiting MBA: an `instr` message makes it
+/// send the carried message to the marketplace; every other message it
+/// receives is a marketplace answer and is recorded.
+#[derive(Debug, Default, serde::Serialize, serde::Deserialize)]
+struct MarketProbe {
+    answers: Vec<(String, serde_json::Value)>,
+}
+
+impl agentsim::agent::Agent for MarketProbe {
+    fn agent_type(&self) -> &'static str {
+        "market-probe"
+    }
+    fn snapshot(&self) -> serde_json::Value {
+        serde_json::to_value(self).unwrap()
+    }
+    fn on_message(&mut self, ctx: &mut agentsim::agent::Ctx<'_>, msg: agentsim::message::Message) {
+        if msg.kind.as_str() == "instr" {
+            let to = agentsim::ids::AgentId(msg.payload["to"].as_u64().unwrap());
+            let kind = msg.payload["kind"].as_str().unwrap().to_string();
+            let inner = agentsim::message::Message::new(kind).carrying(msg.payload.project("body"));
+            ctx.send(to, inner);
+            return;
+        }
+        self.answers
+            .push((msg.kind.to_string(), msg.payload.to_value()));
+    }
+}
+
+/// Send `body` as a `kind` message from `probe` to the marketplace and
+/// return the answer it gets back.
+fn ask_market<T: serde::Serialize>(
+    p: &mut Platform,
+    probe: agentsim::ids::AgentId,
+    kind: &str,
+    body: &T,
+) -> (String, serde_json::Value) {
+    let instr = agentsim::message::Message::new("instr").carrying(serde_json::json!({
+        "to": p.markets()[0].agent.0,
+        "kind": kind,
+        "body": serde_json::to_value(body).unwrap(),
+    }));
+    p.world_mut().send_external(probe, instr).unwrap();
+    p.world_mut().run_until_idle();
+    let state: MarketProbe = serde_json::from_value(p.world().snapshot_of(probe).unwrap()).unwrap();
+    state
+        .answers
+        .last()
+        .cloned()
+        .expect("the marketplace answered")
+}
+
+#[test]
+fn marketplace_host_crash_keeps_sales_and_ledger() {
+    let mut p = Platform::builder(909)
+        .marketplaces(listings())
+        .mba_timeout_us(2_000_000)
+        .bra_retry(BackoffPolicy::new(200_000, 1_600_000, 3))
+        // small: the market host recovers from a snapshot plus the log
+        // written since
+        .durability(DurabilityConfig {
+            checkpoint_every: 2,
+            sync_every: 1,
+        })
+        .build();
+    p.world_mut()
+        .registry_mut()
+        .register_serde::<MarketProbe>("market-probe");
+    let probe_host = p.world_mut().add_host("probe");
+    let probe = p
+        .world_mut()
+        .create_agent(probe_host, Box::new(MarketProbe::default()))
+        .unwrap();
+    p.login(CONSUMER);
+    let task = buy_task(&p);
+    p.submit_task(CONSUMER, task);
+    let wave = p.run_and_drain();
+    assert_exactly_once(&p, &wave, "committed buy");
+    assert_eq!(units_sold(&p, ItemId(1)), 1);
+    let intents = &p
+        .world()
+        .durable_store(p.buyer_host())
+        .expect("durable buyer host")
+        .state()
+        .intents;
+    assert_eq!(intents.len(), 1, "{intents:?}");
+    let intent = *intents.keys().next().unwrap();
+    let market_host = p.markets()[0].host;
+    let checkpoints = p.world().metrics().checkpoints;
+    assert!(checkpoints >= 1, "the market host must have checkpointed");
+
+    p.world_mut().crash_host(market_host).unwrap();
+    p.world_mut().run_for(SimDuration::from_micros(100));
+    p.world_mut().restart_host(market_host).unwrap();
+    p.world_mut().run_until_idle();
+    assert!(p.world().metrics().agents_recovered >= 1);
+    assert_eq!(units_sold(&p, ItemId(1)), 1, "the sale survived the crash");
+
+    let (kind, body) = ask_market(
+        &mut p,
+        probe,
+        ecp::protocol::kinds::LEDGER_QUERY,
+        &ecp::protocol::LedgerQuery { intent },
+    );
+    assert_eq!(kind, ecp::protocol::kinds::LEDGER_REPLY);
+    let reply: ecp::protocol::LedgerReply = serde_json::from_value(body).unwrap();
+    assert_eq!(reply.intent, intent);
+    let committed = reply.committed.expect("the ledger still knows the intent");
+    assert_eq!(committed.item.id, ItemId(1));
+
+    // a buyer retrying under the same intent is answered from the ledger
+    let (kind, body) = ask_market(
+        &mut p,
+        probe,
+        ecp::protocol::kinds::BUY_REQUEST,
+        &ecp::protocol::BuyRequest {
+            item: ItemId(1),
+            intent: Some(intent),
+        },
+    );
+    assert_eq!(kind, ecp::protocol::kinds::BUY_CONFIRM);
+    let confirm: ecp::protocol::BuyConfirm = serde_json::from_value(body).unwrap();
+    assert_eq!(confirm, committed);
+    assert_eq!(
+        units_sold(&p, ItemId(1)),
+        1,
+        "the retry must not sell twice"
+    );
+}
+
+// ---------------------------------------------------------------------
 // sharded platforms: the same crash-and-recover path at 1, 2 and 4 shards
 // ---------------------------------------------------------------------
 

@@ -824,7 +824,10 @@ fn file_backed_store_round_trips_through_reopen() {
     {
         let store = DurableStore::with_file(cfg, &path).unwrap();
         let state = store.state();
-        assert_eq!(state.capsules.get(&7).unwrap().capsule["x"], 1);
+        assert_eq!(
+            state.capsules.get(&7).unwrap().capsule.to_value().unwrap()["x"],
+            1
+        );
         assert!(matches!(
             state.intents.get(&42),
             Some(agentsim::durable::IntentState::Committed(_))
@@ -842,7 +845,17 @@ fn file_backed_store_round_trips_through_reopen() {
     {
         let store = DurableStore::with_file(cfg, &path).unwrap();
         assert_eq!(store.wal_len(), 0);
-        assert_eq!(store.state().capsules.get(&7).unwrap().capsule["x"], 1);
+        assert_eq!(
+            store
+                .state()
+                .capsules
+                .get(&7)
+                .unwrap()
+                .capsule
+                .to_value()
+                .unwrap()["x"],
+            1
+        );
         assert!(matches!(
             store.state().intents.get(&42),
             Some(agentsim::durable::IntentState::Committed(_))
