@@ -26,6 +26,11 @@ impl From<u32> for HostId {
     }
 }
 
+/// Bit position of the shard number in agent and message ids: shard
+/// `s > 0` of a sharded world numbers its agents and messages from
+/// `s << SHARD_ID_SHIFT`, so ids stay globally unique.
+pub const SHARD_ID_SHIFT: u32 = 40;
+
 /// Identifier of an agent, unique across the whole world for its lifetime.
 ///
 /// Ids are never reused, so a stale id reliably names a disposed agent.

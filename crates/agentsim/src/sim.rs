@@ -41,7 +41,7 @@ use crate::chaos::{ChaosEvent, ChaosPlan, Fault};
 use crate::clock::{SimDuration, SimTime};
 use crate::durable::{Boundary, DurabilityConfig, DurableStore, EncodedJson};
 use crate::error::{PlatformError, Result};
-use crate::ids::{AgentId, HostId, MessageId};
+use crate::ids::{AgentId, HostId, MessageId, SHARD_ID_SHIFT};
 use crate::intern::InternedStr;
 use crate::message::Message;
 use crate::metrics::Metrics;
@@ -1290,8 +1290,8 @@ impl SimWorld {
     pub(crate) fn enable_boundary(&mut self, shard: u16, latency: SimDuration) {
         self.shard = shard;
         if shard > 0 {
-            self.next_agent_id = ((shard as u64) << 40) | 1;
-            self.next_msg_id = ((shard as u64) << 40) | 1;
+            self.next_agent_id = ((shard as u64) << SHARD_ID_SHIFT) | 1;
+            self.next_msg_id = ((shard as u64) << SHARD_ID_SHIFT) | 1;
             self.next_host_id = ((shard as u32) << 24) | 1;
         }
         self.boundary = Some(BoundaryState {

@@ -23,8 +23,11 @@
 //!
 //! **Allocation gate** — the binary runs under a counting allocator and
 //! asserts that a warm `ProfileIndex::candidates_into` performs zero
-//! allocations (the reusable-scratch contract). Pass `--assert-no-alloc`
-//! to run only this gate.
+//! allocations, and that a warm exact `RecommendStore::nearest_neighbours`
+//! allocates as often on a 10^3-consumer store as on a 10^4-consumer one
+//! (ten times the candidates): the similarity kernel reuses its scratch
+//! and allocates nothing per candidate. Pass `--assert-no-alloc` to run
+//! only this gate.
 
 use abcrm_core::learning::BehaviorKind;
 use abcrm_core::profile::ConsumerId;
@@ -88,6 +91,48 @@ fn assert_candidates_no_alloc(store: &RecommendStore) {
         "warm candidates_into allocated {allocs} times over 1000 queries"
     );
     println!("no-alloc gate: 1000 warm candidates_into calls, 0 allocations");
+}
+
+/// Allocations of one warm exact `nearest_neighbours` call, averaged
+/// over 100 repeats after a sizing call, plus the probe's candidate
+/// count.
+fn warm_nn_allocations(store: &RecommendStore) -> (u64, usize) {
+    let cfg = SimilarityConfig::default();
+    let probe = ConsumerId(1);
+    let target = store
+        .flat_profile(probe)
+        .expect("probe consumer indexed")
+        .vector
+        .clone();
+    let candidates = store.profile_index().candidates(&target).len();
+    store.nearest_neighbours(probe, &cfg, 10); // size the scratch once
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        store.nearest_neighbours(probe, &cfg, 10);
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (allocs / 100, candidates)
+}
+
+/// A warm exact `nearest_neighbours` must allocate the same number of
+/// times whatever the candidate count: a per-candidate (or growing)
+/// allocation would show as a higher count on the larger store.
+fn assert_nn_allocations_flat(small: &RecommendStore, large: &RecommendStore) {
+    let (small_allocs, small_candidates) = warm_nn_allocations(small);
+    let (large_allocs, large_candidates) = warm_nn_allocations(large);
+    assert!(
+        large_candidates >= 5 * small_candidates,
+        "larger store must score more candidates ({small_candidates} vs {large_candidates})"
+    );
+    assert_eq!(
+        small_allocs, large_allocs,
+        "warm nearest_neighbours allocated {small_allocs} times per call over \
+         {small_candidates} candidates but {large_allocs} over {large_candidates}"
+    );
+    println!(
+        "no-alloc gate: warm nearest_neighbours allocates {small_allocs} times per call \
+         at {small_candidates} and at {large_candidates} candidates"
+    );
 }
 
 // --- micro section: synthetic clustered store --------------------------
@@ -295,7 +340,9 @@ fn bench(c: &mut Criterion) {
 
 fn run(c: &mut Criterion) {
     if std::env::args().any(|a| a == "--assert-no-alloc") {
-        assert_candidates_no_alloc(&build_store(10_000));
+        let large = build_store(10_000);
+        assert_candidates_no_alloc(&large);
+        assert_nn_allocations_flat(&build_store(1_000), &large);
         return;
     }
     bench(c);

@@ -24,7 +24,7 @@ use crate::profile::{ConsumerId, Profile};
 use crate::retry::BackoffPolicy;
 use agentsim::agent::{Agent, Ctx};
 use agentsim::clock::{SimDuration, SimTime};
-use agentsim::ids::{AgentId, HostId};
+use agentsim::ids::{AgentId, HostId, SHARD_ID_SHIFT};
 use agentsim::message::Message;
 use ecp::merchandise::Merchandise;
 use ecp::protocol::{self as ecpk, BuyConfirm, LedgerQuery, LedgerReply, Offer};
@@ -114,6 +114,33 @@ pub struct BuyerRecommendAgent {
     /// Purchase intents minted by this BRA so far (intent-id sequence).
     #[serde(default)]
     intents_minted: u64,
+}
+
+/// Bits of an intent id holding the minting BRA's shard, its
+/// shard-local agent number and its sequence number (high to low).
+const INTENT_SHARD_BITS: u32 = 8;
+const INTENT_LOCAL_BITS: u32 = 32;
+const INTENT_SEQ_BITS: u32 = 64 - INTENT_SHARD_BITS - INTENT_LOCAL_BITS;
+
+/// The durable purchase-intent id of sequence number `seq` of BRA `bra`.
+/// Agent ids are `shard << SHARD_ID_SHIFT | local`; the intent id packs
+/// the shard into the top 8 bits, the shard-local number into the next
+/// 32 and `seq` into the low 24, so ids from distinct BRAs or sequence
+/// numbers never collide. `None` when a part does not fit (shard ≥ 256,
+/// 2^32 agents created on one shard, or 2^24 purchases in one BRA's
+/// session): the caller refuses the purchase instead of wrapping onto
+/// an earlier id, which the marketplace ledger would dedup as a replay.
+pub fn intent_id(bra: AgentId, seq: u64) -> Option<u64> {
+    let shard = bra.0 >> SHARD_ID_SHIFT;
+    let local = bra.0 & ((1 << SHARD_ID_SHIFT) - 1);
+    let fits = |v: u64, bits: u32| v < 1 << bits;
+    if !(fits(shard, INTENT_SHARD_BITS)
+        && fits(local, INTENT_LOCAL_BITS)
+        && fits(seq, INTENT_SEQ_BITS))
+    {
+        return None;
+    }
+    Some((shard << (INTENT_LOCAL_BITS + INTENT_SEQ_BITS)) | (local << INTENT_SEQ_BITS) | seq)
 }
 
 impl BuyerRecommendAgent {
@@ -219,13 +246,15 @@ impl BuyerRecommendAgent {
         self.pending = Some(Pending::AwaitProfile { task });
     }
 
-    /// Mint a fresh purchase-intent id: the BRA's globally-unique agent
-    /// id in the high bits, a per-BRA sequence number in the low 16. A
-    /// BRA drives one task at a time, so the sequence cannot wrap within
-    /// a purchase's lifetime.
-    fn mint_intent(&mut self, ctx: &Ctx<'_>) -> u64 {
-        self.intents_minted += 1;
-        (ctx.self_id().0 << 16) | (self.intents_minted & 0xFFFF)
+    /// Mint a fresh purchase-intent id ([`intent_id`] of this BRA's id
+    /// and its next sequence number), or `None` once either would no
+    /// longer fit — the sequence is not advanced then, so no id is ever
+    /// reused.
+    fn mint_intent(&mut self, bra: AgentId) -> Option<u64> {
+        let seq = self.intents_minted + 1;
+        let id = intent_id(bra, seq)?;
+        self.intents_minted = seq;
+        Some(id)
     }
 
     fn dispatch_mba(
@@ -242,7 +271,16 @@ impl BuyerRecommendAgent {
         let intent = match (&task, prior_intent) {
             (_, Some(i)) => Some(i),
             (ConsumerTask::Buy { item, market, .. }, None) if self.durable => {
-                let i = self.mint_intent(ctx);
+                let Some(i) = self.mint_intent(ctx.self_id()) else {
+                    // a wrapped id would alias an earlier purchase that
+                    // the marketplace ledger then dedups as a replay
+                    ctx.note("bra: purchase intent ids exhausted, refusing buy");
+                    self.respond(
+                        ctx,
+                        ResponseBody::Error("purchase intent ids exhausted".into()),
+                    );
+                    return;
+                };
                 ctx.journal_intent(
                     i,
                     serde_json::json!({
@@ -973,6 +1011,35 @@ mod tests {
             profile,
             neighbours: vec![(ConsumerId(2), 0.9)],
             neighbour_preferences: prefs,
+        }
+    }
+
+    #[test]
+    fn intent_ids_stay_unique_past_the_16_bit_sequence() {
+        // the old `(bra << 16) | (seq & 0xFFFF)` split repeated seq 1's
+        // id at seq 65,537, and the ledger deduped that buy as a replay
+        for me in [AgentId(7), AgentId((3 << SHARD_ID_SHIFT) | 7)] {
+            let mut b = bra();
+            let mut seen = std::collections::HashSet::new();
+            for seq in 1..=65_540u64 {
+                let id = b.mint_intent(me).expect("fits");
+                assert!(seen.insert(id), "intent {seq} of {me} repeated id {id:#x}");
+            }
+            assert_eq!(b.intents_minted, 65_540);
+        }
+    }
+
+    #[test]
+    fn intent_ids_refuse_instead_of_wrapping() {
+        let mut b = bra();
+        b.intents_minted = (1 << INTENT_SEQ_BITS) - 2;
+        assert!(b.mint_intent(AgentId(7)).is_some());
+        assert_eq!(b.mint_intent(AgentId(7)), None, "sequence exhausted");
+        assert_eq!(b.intents_minted, (1 << INTENT_SEQ_BITS) - 1, "not advanced");
+        for too_wide in [1 << 32, 256 << SHARD_ID_SHIFT] {
+            let mut fresh = bra();
+            assert_eq!(fresh.mint_intent(AgentId(too_wide)), None, "{too_wide:#x}");
+            assert_eq!(fresh.intents_minted, 0);
         }
     }
 

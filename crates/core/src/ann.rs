@@ -18,20 +18,17 @@
 //!   the consumer's signature from the already-maintained flat vector
 //!   (no re-flatten) and moves the consumer only between the buckets
 //!   whose signature actually changed.
-//! * [`score_packed`] — the batched re-rank kernel: candidates are
-//!   scored in fixed-size blocks against interned, contiguous
-//!   `(term-id, weight)` arrays (no string compares, no B-tree walks),
-//!   with a reusable shared-pair scratch, composing with the `parallel`
-//!   feature's deterministic chunk-order merge.
 //!
-//! Because the re-rank applies the *exact* similarity semantics
-//! (discard threshold, `min_overlap`, the configured method) and the
-//! neighbour floor filter, ANN results are always a subset of the exact
-//! scan's admitted candidates — the index can only *miss* neighbours,
-//! never invent them. `tests/ann.rs` and the property suite hold it to a
+//! The LSH index only generates candidates. They are re-ranked by the
+//! same similarity kernel the exact path uses
+//! ([`crate::index::ProfileIndex`]'s packed kernel: discard threshold,
+//! `min_overlap`, the configured method, the neighbour floor), so every
+//! ANN score is bitwise equal to the exact scan's score for that
+//! consumer and ANN results are always a subset of the exact scan's
+//! admitted candidates — the index can only *miss* neighbours, never
+//! invent them. `tests/ann.rs` and the property suite hold it to a
 //! measured recall floor.
 
-use crate::similarity::SimilarityConfig;
 use ecp::terms::TermVector;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -41,8 +38,8 @@ use std::collections::HashMap;
 const DEFAULT_ANN_SEED: u64 = 0xabc0_4a11_5eed_0001;
 
 /// Configuration of the approximate neighbour index — the
-/// [`SimilarityConfig::ann`] knob. `None` keeps the exact posting-list
-/// scan; `Some` routes `nearest_neighbours`/`recommend` through the LSH
+/// [`crate::similarity::SimilarityConfig::ann`] knob. `None` keeps the
+/// exact posting-list scan; `Some` routes `nearest_neighbours`/`recommend` through the LSH
 /// index transparently (the exact path remains the test oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnnConfig {
@@ -293,148 +290,6 @@ fn remove_member(table: &mut HashMap<u32, Vec<u64>>, sig: u32, id: u64) {
         }
         if members.is_empty() {
             table.remove(&sig);
-        }
-    }
-}
-
-/// Candidates are re-ranked in blocks of this many consumers; under the
-/// `parallel` feature the blocks fan out across cores and concatenate in
-/// block order (deterministic merge, same recipe as
-/// [`crate::index::par_map`]).
-const RERANK_BLOCK: usize = 64;
-
-/// Score `candidates` against `target` over the index's interned packed
-/// vectors, applying the full [`SimilarityConfig`] semantics (discard
-/// threshold, `min_overlap`, method) plus the neighbour-floor filter.
-///
-/// The packed representation is a contiguous `(term-id, weight)` array
-/// sorted by term id; scoring is a two-pointer merge over two flat
-/// arrays — no string comparisons, no per-candidate allocation (one
-/// shared-pair scratch per block). Scores can differ from the exact
-/// scanner only in summation order (last-ulp), which is why the exact
-/// path stays byte-identical by never routing through this kernel.
-pub(crate) fn score_packed(
-    index: &crate::index::ProfileIndex,
-    target_packed: &[(u32, f64)],
-    target_norm: f64,
-    target_len: usize,
-    candidates: &[u64],
-    config: &SimilarityConfig,
-) -> Vec<(u64, f64)> {
-    let score_block = |block: &&[u64]| -> Vec<(u64, f64)> {
-        let mut out = Vec::with_capacity(block.len());
-        let mut shared: Vec<(f64, f64)> = Vec::new();
-        for id in block.iter() {
-            let Some((packed, norm, len)) = index.packed(*id) else {
-                continue;
-            };
-            let s = score_pair(
-                target_packed,
-                target_norm,
-                target_len,
-                packed,
-                norm,
-                len,
-                config,
-                &mut shared,
-            );
-            if s > config.neighbour_floor {
-                out.push((*id, s));
-            }
-        }
-        out
-    };
-    let blocks: Vec<&[u64]> = candidates.chunks(RERANK_BLOCK).collect();
-    #[cfg(feature = "parallel")]
-    if candidates.len() >= 4 * RERANK_BLOCK {
-        return crate::index::par_map(&blocks, score_block)
-            .into_iter()
-            .flatten()
-            .collect();
-    }
-    blocks.iter().flat_map(score_block).collect()
-}
-
-/// One pair scored from packed vectors — mirrors
-/// `similarity::similarity_impl` exactly (same discard rule, same
-/// `min_overlap` gate, same measures) over the merge-ordered shared
-/// terms.
-#[allow(clippy::too_many_arguments)]
-fn score_pair(
-    a: &[(u32, f64)],
-    a_norm: f64,
-    a_len: usize,
-    b: &[(u32, f64)],
-    b_norm: f64,
-    b_len: usize,
-    config: &SimilarityConfig,
-    shared: &mut Vec<(f64, f64)>,
-) -> f64 {
-    use crate::similarity::SimilarityMethod;
-    shared.clear();
-    let mut intersection = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (wa, wb) = (a[i].1, b[j].1);
-                i += 1;
-                j += 1;
-                intersection += 1;
-                if let Some(threshold) = config.discard_threshold {
-                    let ratio = if wa >= wb { wa / wb } else { wb / wa };
-                    if ratio > threshold {
-                        continue;
-                    }
-                }
-                shared.push((wa, wb));
-            }
-        }
-    }
-    if shared.len() < config.min_overlap {
-        return 0.0;
-    }
-    match config.method {
-        SimilarityMethod::Cosine => {
-            let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
-            let denom = a_norm * b_norm;
-            if denom == 0.0 {
-                0.0
-            } else {
-                (dot / denom).clamp(0.0, 1.0)
-            }
-        }
-        SimilarityMethod::Pearson => {
-            let n = shared.len() as f64;
-            if shared.len() < 2 {
-                return 0.0;
-            }
-            let mean_x = shared.iter().map(|(x, _)| x).sum::<f64>() / n;
-            let mean_y = shared.iter().map(|(_, y)| y).sum::<f64>() / n;
-            let mut cov = 0.0;
-            let mut var_x = 0.0;
-            let mut var_y = 0.0;
-            for (x, y) in shared.iter() {
-                cov += (x - mean_x) * (y - mean_y);
-                var_x += (x - mean_x).powi(2);
-                var_y += (y - mean_y).powi(2);
-            }
-            let denom = (var_x * var_y).sqrt();
-            if denom == 0.0 {
-                0.0
-            } else {
-                (cov / denom).clamp(-1.0, 1.0)
-            }
-        }
-        SimilarityMethod::Jaccard => {
-            let union = a_len + b_len - intersection;
-            if union == 0 {
-                0.0
-            } else {
-                shared.len() as f64 / union as f64
-            }
         }
     }
 }

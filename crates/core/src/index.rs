@@ -8,11 +8,15 @@
 //!
 //! * [`FlatProfile`] — a profile's flattened term vector plus its
 //!   precomputed norm, so neither is recomputed per query;
-//! * [`ProfileIndex`] — the flat-profile cache plus an inverted
-//!   term → consumers posting-list index. Consumers sharing no term with
-//!   the target score exactly `0.0` under every similarity method, so
-//!   (for a non-negative neighbour floor) scoring only posting-list
-//!   candidates is lossless;
+//! * [`ProfileIndex`] — the flat-profile cache, an interned "packed"
+//!   mirror of every flat vector, and inverted term → consumers posting
+//!   lists keyed by interned term id. Consumers sharing no term with the
+//!   target score exactly `0.0` under every similarity method, so (for a
+//!   non-negative neighbour floor) scoring only posting-list candidates
+//!   is lossless;
+//! * the similarity kernel ([`ProfileIndex::top_neighbours`]) that scores
+//!   candidates over the packed vectors for both the exact and the ANN
+//!   path, bitwise identical to [`crate::similarity::vector_similarity`];
 //! * [`ItemSimCache`] — memoized item–item cosine similarities for
 //!   item-based CF, invalidated wholesale whenever the ratings matrix
 //!   version changes;
@@ -24,10 +28,11 @@
 //! never serialized.
 
 use crate::learning::ProfileDelta;
-use crate::profile::Profile;
+use crate::profile::{ConsumerId, Profile};
+use crate::similarity::{Overlap, SimilarityConfig};
 use ecp::terms::TermVector;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 /// A consumer profile flattened for similarity scoring: the namespaced
 /// term vector of [`Profile::flatten`] plus its Euclidean norm.
@@ -48,25 +53,103 @@ impl FlatProfile {
     }
 }
 
-/// Flat-profile cache plus inverted term → consumer posting lists, plus
-/// the interned "packed" mirror of each flat vector used by the ANN
-/// re-rank kernel: terms are mapped to dense `u32` ids (assigned on
-/// first sight, never recycled) and each consumer's vector is stored as
-/// a contiguous `(term-id, weight)` array sorted by id, so candidate
-/// scoring is a two-pointer merge over flat memory instead of a B-tree
-/// walk with string compares.
+/// Flat-profile cache plus its interned mirror: terms map to dense `u32`
+/// ids (assigned on first sight, never recycled), each consumer's vector
+/// is also kept as a contiguous `(term-id, weight)` array, and the
+/// posting lists are indexed by term id — so neither candidate
+/// generation nor scoring compares a string.
+///
+/// The packed arrays are kept in *term-string* order, the order of
+/// [`TermVector::iter`], not in id order: the similarity kernel sums a
+/// pair's shared terms in exactly the order
+/// [`crate::similarity::vector_similarity`] does, so its f64 results are
+/// bitwise identical to the reference scan.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileIndex {
-    flats: BTreeMap<u64, FlatProfile>,
-    postings: BTreeMap<String, BTreeSet<u64>>,
-    packed: HashMap<u64, Vec<(u32, f64)>>,
-    term_ids: HashMap<String, u32>,
-    next_term_id: u32,
+    entries: BTreeMap<u64, Entry>,
+    vocab: Vocab,
+    postings: Postings,
 }
 
-/// Borrowed view of a packed flat vector: sorted `(term-id, weight)`
-/// pairs, cached Euclidean norm, and term count.
-pub(crate) type PackedView<'a> = (&'a [(u32, f64)], f64, usize);
+#[derive(Debug, Clone, Default)]
+struct Entry {
+    flat: FlatProfile,
+    /// `flat.vector` interned: `(term-id, weight)` in term-string order.
+    packed: Vec<(u32, f64)>,
+}
+
+impl Entry {
+    /// Position of `term` in `packed` (`Err`: where it would go).
+    fn position(&self, vocab: &Vocab, term: &str) -> Result<usize, usize> {
+        self.packed
+            .binary_search_by(|(t, _)| vocab.term(*t).cmp(term))
+    }
+}
+
+/// The term interner: dense ids in both directions.
+#[derive(Debug, Clone, Default)]
+struct Vocab {
+    ids: HashMap<String, u32>,
+    terms: Vec<String>,
+}
+
+impl Vocab {
+    fn intern(&mut self, term: &str) -> u32 {
+        if let Some(id) = self.ids.get(term) {
+            return *id;
+        }
+        let id = u32::try_from(self.terms.len()).expect("fewer than 2^32 distinct terms");
+        self.ids.insert(term.to_string(), id);
+        self.terms.push(term.to_string());
+        id
+    }
+
+    fn get(&self, term: &str) -> Option<u32> {
+        self.ids.get(term).copied()
+    }
+
+    fn term(&self, id: u32) -> &str {
+        &self.terms[id as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.terms.len()
+    }
+}
+
+/// Term id → consumers holding the term.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    lists: Vec<BTreeSet<u64>>,
+}
+
+impl Postings {
+    fn link(&mut self, term: u32, id: u64) {
+        let t = term as usize;
+        if self.lists.len() <= t {
+            self.lists.resize_with(t + 1, BTreeSet::new);
+        }
+        self.lists[t].insert(id);
+    }
+
+    fn unlink(&mut self, term: u32, id: u64) {
+        if let Some(list) = self.lists.get_mut(term as usize) {
+            list.remove(&id);
+        }
+    }
+
+    /// Union of the lists of `terms` into `out`, ascending, deduplicated.
+    fn union_into(&self, terms: impl Iterator<Item = u32>, out: &mut Vec<u64>) {
+        out.clear();
+        for t in terms {
+            if let Some(list) = self.lists.get(t as usize) {
+                out.extend(list.iter().copied());
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
 
 impl ProfileIndex {
     /// Empty index.
@@ -90,15 +173,15 @@ impl ProfileIndex {
     pub fn update(&mut self, id: u64, profile: &Profile) {
         self.unlink(id);
         let flat = FlatProfile::of(profile);
-        for (term, _) in flat.vector.iter() {
-            self.postings
-                .entry(term.to_string())
-                .or_default()
-                .insert(id);
+        let packed: Vec<(u32, f64)> = flat
+            .vector
+            .iter()
+            .map(|(term, w)| (self.vocab.intern(term), w))
+            .collect();
+        for (term, _) in &packed {
+            self.postings.link(*term, id);
         }
-        let packed = self.pack(&flat.vector);
-        self.packed.insert(id, packed);
-        self.flats.insert(id, flat);
+        self.entries.insert(id, Entry { flat, packed });
     }
 
     /// Apply a [`ProfileDelta`] from the incremental learning path: only
@@ -109,74 +192,65 @@ impl ProfileIndex {
     /// [`FlatProfile::of`] (the maintained weights *are* the flatten
     /// output; only re-deriving them wholesale is skipped).
     pub fn apply_delta(&mut self, id: u64, delta: &ProfileDelta) {
-        let flat = self.flats.entry(id).or_default();
-        let packed = self.packed.entry(id).or_default();
+        let ProfileIndex {
+            entries,
+            vocab,
+            postings,
+        } = self;
+        let entry = entries.entry(id).or_default();
         let mut dirty = false;
         for (key, new_w) in delta.changes() {
-            let old_w = flat.vector.weight(key);
+            let old_w = entry.flat.vector.weight(key);
             if new_w > 0.0 {
                 if old_w.to_bits() == new_w.to_bits() {
                     continue;
                 }
                 dirty = true;
-                flat.vector.set(key.clone(), new_w);
-                let tid = intern(&mut self.term_ids, &mut self.next_term_id, key);
-                match packed.binary_search_by_key(&tid, |(t, _)| *t) {
-                    Ok(pos) => packed[pos].1 = new_w,
-                    Err(pos) => packed.insert(pos, (tid, new_w)),
-                }
-                if old_w == 0.0 {
-                    self.postings.entry(key.clone()).or_default().insert(id);
+                entry.flat.vector.set(key.clone(), new_w);
+                match entry.position(vocab, key) {
+                    Ok(pos) => entry.packed[pos].1 = new_w,
+                    Err(pos) => {
+                        let term = vocab.intern(key);
+                        entry.packed.insert(pos, (term, new_w));
+                        postings.link(term, id);
+                    }
                 }
             } else if old_w != 0.0 {
                 dirty = true;
-                flat.vector.set(key.clone(), 0.0);
-                if let Some(tid) = self.term_ids.get(key) {
-                    if let Ok(pos) = packed.binary_search_by_key(tid, |(t, _)| *t) {
-                        packed.remove(pos);
-                    }
-                }
-                if let Some(set) = self.postings.get_mut(key) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.postings.remove(key);
-                    }
+                entry.flat.vector.set(key.clone(), 0.0);
+                if let Ok(pos) = entry.position(vocab, key) {
+                    let (term, _) = entry.packed.remove(pos);
+                    postings.unlink(term, id);
                 }
             }
         }
         if dirty {
-            flat.norm = flat.vector.norm();
+            entry.flat.norm = entry.flat.vector.norm();
         }
     }
 
     /// Drop the entry for `id` (profile removed from the store).
     pub fn remove(&mut self, id: u64) {
         self.unlink(id);
-        self.flats.remove(&id);
-        self.packed.remove(&id);
+        self.entries.remove(&id);
     }
 
     fn unlink(&mut self, id: u64) {
-        if let Some(old) = self.flats.get(&id) {
-            for (term, _) in old.vector.iter() {
-                if let Some(set) = self.postings.get_mut(term) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.postings.remove(term);
-                    }
-                }
+        if let Some(old) = self.entries.get(&id) {
+            for (term, _) in &old.packed {
+                self.postings.unlink(*term, id);
             }
         }
     }
 
     /// Cached flat profile of `id`, if indexed.
     pub fn flat(&self, id: u64) -> Option<&FlatProfile> {
-        self.flats.get(&id)
+        self.entries.get(&id).map(|e| &e.flat)
     }
 
     /// Iterate `(consumer, flat profile)` in ascending id order.
     pub fn flats(&self) -> impl Iterator<Item = (u64, &FlatProfile)> {
-        self.flats.iter().map(|(id, f)| (*id, f))
+        self.entries.iter().map(|(id, e)| (*id, &e.flat))
     }
 
     /// Consumers sharing at least one term with `target`, ascending,
@@ -189,65 +263,168 @@ impl ProfileIndex {
 
     /// [`ProfileIndex::candidates`] into a caller-owned scratch buffer:
     /// `out` is cleared, filled with the posting-list union, sorted and
-    /// deduplicated. A reused buffer makes the hot query path
+    /// deduplicated. A reused buffer makes candidate generation
     /// allocation-free at steady state (`benches/query_hot_path.rs
     /// --assert-no-alloc` holds it to zero).
     pub fn candidates_into(&self, target: &TermVector, out: &mut Vec<u64>) {
-        out.clear();
-        for (term, _) in target.iter() {
-            if let Some(set) = self.postings.get(term) {
-                out.extend(set.iter().copied());
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
+        let terms = target.iter().filter_map(|(term, _)| self.vocab.get(term));
+        self.postings.union_into(terms, out);
     }
 
-    /// The interned packed mirror of `id`'s flat vector for the ANN
-    /// re-rank kernel: `(sorted (term-id, weight) pairs, norm, term
-    /// count)`.
-    pub(crate) fn packed(&self, id: u64) -> Option<PackedView<'_>> {
-        let flat = self.flats.get(&id)?;
-        let packed = self.packed.get(&id)?;
-        Some((packed.as_slice(), flat.norm, packed.len()))
-    }
-
-    fn pack(&mut self, vector: &TermVector) -> Vec<(u32, f64)> {
-        let mut packed: Vec<(u32, f64)> = vector
-            .iter()
-            .map(|(term, w)| (intern(&mut self.term_ids, &mut self.next_term_id, term), w))
-            .collect();
-        packed.sort_unstable_by_key(|(t, _)| *t);
-        packed
+    /// [`ProfileIndex::candidates_into`] for an indexed consumer, from
+    /// its interned term ids (no string hashing); includes `id` itself.
+    pub(crate) fn candidates_of(&self, id: u64, out: &mut Vec<u64>) {
+        let terms = self.entries.get(&id).into_iter().flat_map(|e| &e.packed);
+        self.postings.union_into(terms.map(|(t, _)| *t), out);
     }
 
     /// Number of indexed consumers.
     pub fn len(&self) -> usize {
-        self.flats.len()
+        self.entries.len()
     }
 
     /// Whether no consumer is indexed.
     pub fn is_empty(&self) -> bool {
-        self.flats.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Number of distinct indexed terms (posting lists).
+    /// Number of distinct indexed terms (non-empty posting lists).
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.postings.lists.iter().filter(|l| !l.is_empty()).count()
+    }
+
+    /// The similarity kernel: score every id in `scratch.candidates`
+    /// against consumer `target` under `config` and return the best `k`
+    /// strictly above [`SimilarityConfig::neighbour_floor`], best first
+    /// (score desc, id asc). The exact path (posting-list or full-scan
+    /// candidates) and the ANN re-rank (LSH candidates) both score here.
+    ///
+    /// The target is scattered once into a dense slot table (term id →
+    /// 1 + position in the target's term order); each candidate's packed
+    /// pairs are walked in term-string order and looked up there. The
+    /// shared terms thus reach the one [`Overlap`] measure in exactly
+    /// the order [`crate::similarity::vector_similarity`] visits them,
+    /// so every score is bitwise identical to the reference (summing in
+    /// term-id order would not be). A warm sequential call allocates
+    /// only its result.
+    pub(crate) fn top_neighbours(
+        &self,
+        target: u64,
+        config: &SimilarityConfig,
+        k: usize,
+        scratch: &mut KernelScratch,
+    ) -> Vec<(ConsumerId, f64)> {
+        let Some(target) = self.entries.get(&target) else {
+            return Vec::new();
+        };
+        let KernelScratch {
+            candidates,
+            slots,
+            overlap,
+            top,
+        } = scratch;
+        if slots.len() < self.vocab.len() {
+            slots.resize(self.vocab.len(), 0);
+        }
+        for (pos, (term, _)) in target.packed.iter().enumerate() {
+            slots[*term as usize] = pos as u32 + 1;
+        }
+        let kernel = Kernel {
+            index: self,
+            target,
+            slots,
+            config,
+        };
+        top.start(k);
+        kernel.score_all(candidates, overlap, top);
+        for (term, _) in &target.packed {
+            slots[*term as usize] = 0;
+        }
+        top.take()
     }
 }
 
-/// Intern `term`, assigning the next dense id on first sight. A free
-/// function (not a method) so callers can hold disjoint borrows of the
-/// index's other fields.
-fn intern(term_ids: &mut HashMap<String, u32>, next: &mut u32, term: &str) -> u32 {
-    if let Some(id) = term_ids.get(term) {
-        return *id;
+/// Reusable scratch of [`ProfileIndex::top_neighbours`]: the candidate
+/// ids of the current query, the target's slot table, one pair's shared
+/// terms and the top-k heap. The store keeps one behind a mutex so
+/// steady-state queries do not allocate for any of them.
+#[derive(Debug, Default)]
+pub(crate) struct KernelScratch {
+    /// Candidate ids to score (filled by the caller).
+    pub(crate) candidates: Vec<u64>,
+    /// Term id → 1 + position in the target's term order; 0 = absent.
+    /// All zero between queries.
+    slots: Vec<u32>,
+    overlap: Overlap,
+    top: TopK,
+}
+
+/// Candidates are scored in blocks of this many consumers under the
+/// `parallel` feature; blocks fan out across cores and their results
+/// merge in block order.
+#[cfg(feature = "parallel")]
+const KERNEL_BLOCK: usize = 64;
+
+/// Fewer candidates than this are scored on the calling thread.
+#[cfg(feature = "parallel")]
+const PARALLEL_MIN_CANDIDATES: usize = 4 * KERNEL_BLOCK;
+
+/// One query's read-only kernel state, shared by parallel blocks.
+struct Kernel<'a> {
+    index: &'a ProfileIndex,
+    target: &'a Entry,
+    slots: &'a [u32],
+    config: &'a SimilarityConfig,
+}
+
+impl Kernel<'_> {
+    /// Similarity of candidate `id` to the target if it is admitted
+    /// (strictly above the neighbour floor).
+    fn score(&self, id: u64, overlap: &mut Overlap) -> Option<f64> {
+        let candidate = self.index.entries.get(&id)?;
+        let target = &self.target.packed;
+        overlap.clear();
+        for (term, wb) in &candidate.packed {
+            let slot = self.slots[*term as usize];
+            if slot != 0 {
+                overlap.push(target[slot as usize - 1].1, *wb, self.config);
+            }
+        }
+        let (tn, cn) = (self.target.flat.norm, candidate.flat.norm);
+        let s = overlap.score(
+            target.len(),
+            candidate.packed.len(),
+            || tn * cn,
+            self.config,
+        );
+        (s > self.config.neighbour_floor).then_some(s)
     }
-    let id = *next;
-    *next += 1;
-    term_ids.insert(term.to_string(), id);
-    id
+
+    /// Offer every admitted candidate to `top`: on the calling thread,
+    /// or under `parallel` for large candidate sets in blocks merged in
+    /// block order (the result is the same either way).
+    fn score_all(&self, candidates: &[u64], overlap: &mut Overlap, top: &mut TopK) {
+        #[cfg(feature = "parallel")]
+        if candidates.len() >= PARALLEL_MIN_CANDIDATES {
+            let blocks: Vec<&[u64]> = candidates.chunks(KERNEL_BLOCK).collect();
+            let scored = par_map(&blocks, |block| {
+                let mut overlap = Overlap::default();
+                block
+                    .iter()
+                    .filter_map(|id| Some((*id, self.score(*id, &mut overlap)?)))
+                    .collect::<Vec<_>>()
+            });
+            for (id, score) in scored.into_iter().flatten() {
+                top.offer(id, score);
+            }
+            return;
+        }
+        for id in candidates {
+            if let Some(score) = self.score(*id, overlap) {
+                top.offer(*id, score);
+            }
+        }
+    }
 }
 
 /// Default [`ItemSimCache`] capacity — pairs, not bytes. At ~40 bytes a
@@ -399,31 +576,45 @@ impl PartialEq for RankEntry {
 
 impl Eq for RankEntry {}
 
-/// Best `k` of `scored` under the reference ordering
-/// `sort_by(score desc, id asc); truncate(k)`, selected with a bounded
-/// min-heap instead of a full sort. Output is identical to the reference
-/// because the ordering is total over unique ids.
-pub(crate) fn top_k(scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    if k == 0 {
-        return Vec::new();
+/// Bounded best-k selector under the reference ordering
+/// `sort_by(score desc, id asc); truncate(k)`: a min-heap of the `k`
+/// best offered so far instead of a full sort. Output is identical to
+/// the reference because the ordering is total over unique ids. The
+/// heap's buffer is kept across queries.
+#[derive(Debug, Default)]
+pub(crate) struct TopK {
+    k: usize,
+    heap: BinaryHeap<Reverse<RankEntry>>,
+}
+
+impl TopK {
+    /// Begin a selection of the best `k`.
+    pub(crate) fn start(&mut self, k: usize) {
+        self.k = k;
+        self.heap.clear();
     }
-    let mut heap: BinaryHeap<Reverse<RankEntry>> = BinaryHeap::with_capacity(k + 1);
-    for (id, score) in scored {
+
+    /// Consider one scored candidate.
+    pub(crate) fn offer(&mut self, id: u64, score: f64) {
         let entry = RankEntry { id, score };
-        if heap.len() < k {
-            heap.push(Reverse(entry));
-        } else if let Some(Reverse(worst)) = heap.peek() {
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse(entry));
+        } else if let Some(Reverse(worst)) = self.heap.peek() {
             if entry > *worst {
-                heap.pop();
-                heap.push(Reverse(entry));
+                self.heap.pop();
+                self.heap.push(Reverse(entry));
             }
         }
     }
-    let mut best: Vec<RankEntry> = heap.into_iter().map(|Reverse(e)| e).collect();
-    best.sort_by(|a, b| b.cmp(a));
-    best.into_iter().map(|e| (e.id, e.score)).collect()
+
+    /// The selection, best first; leaves the selector empty.
+    pub(crate) fn take(&mut self) -> Vec<(ConsumerId, f64)> {
+        let mut best: Vec<RankEntry> = self.heap.drain().map(|Reverse(e)| e).collect();
+        best.sort_unstable_by(|a, b| b.cmp(a));
+        best.into_iter()
+            .map(|e| (ConsumerId(e.id), e.score))
+            .collect()
+    }
 }
 
 /// Map `f` over `items` on all available cores, preserving order — the
@@ -539,7 +730,14 @@ mod tests {
                         .then(a.0.cmp(&b.0))
                 });
                 reference.truncate(k);
-                assert_eq!(top_k(scored.clone(), k), reference);
+                let mut top = TopK::default();
+                top.start(k);
+                for (id, score) in &scored {
+                    top.offer(*id, *score);
+                }
+                let picked: Vec<(u64, f64)> =
+                    top.take().into_iter().map(|(c, s)| (c.0, s)).collect();
+                assert_eq!(picked, reference);
             }
         }
     }
@@ -621,11 +819,16 @@ mod tests {
         assert!(incremental.candidates(&probe).is_empty());
         let probe = TermVector::from_pairs([("b/p/z", 1.0)]);
         assert_eq!(incremental.candidates(&probe), vec![7]);
-        // packed mirror stayed in sync
-        let (packed, norm, len) = incremental.packed(7).unwrap();
-        assert_eq!(len, 3);
-        assert!(packed.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(norm.to_bits(), b.norm.to_bits());
+        // packed mirror stayed in sync, in term-string order
+        let live = &incremental.entries[&7];
+        let terms: Vec<&str> = live
+            .packed
+            .iter()
+            .map(|(t, _)| incremental.vocab.term(*t))
+            .collect();
+        assert_eq!(terms, vec!["b//seed", "b/p/y", "b/p/z"]);
+        let weights: Vec<f64> = live.packed.iter().map(|(_, w)| *w).collect();
+        assert_eq!(weights, vec![0.2, 0.9, 0.4]);
     }
 
     #[cfg(feature = "parallel")]

@@ -91,102 +91,122 @@ impl SimilarityConfig {
 
 /// Compute similarity between two raw term vectors under `config`.
 pub fn vector_similarity(a: &TermVector, b: &TermVector, config: &SimilarityConfig) -> f64 {
-    similarity_impl(a, b, None, config)
+    similarity_impl(a, b, config)
 }
 
-/// [`vector_similarity`] with the vectors' precomputed norms supplied by
-/// the caller (the store's flat-profile cache), so the cosine
-/// denominator is not recomputed per query. Bitwise identical to
-/// [`vector_similarity`] when `a_norm == a.norm()` and
-/// `b_norm == b.norm()`.
-pub fn vector_similarity_with_norms(
-    a: &TermVector,
-    a_norm: f64,
-    b: &TermVector,
-    b_norm: f64,
-    config: &SimilarityConfig,
-) -> f64 {
-    similarity_impl(a, b, Some((a_norm, b_norm)), config)
+/// The Fig 4.5 similarity step between a pair of term vectors: the
+/// evidence the pair shares, collected one shared term at a time, then
+/// scored by the configured measure. The single home of the measure
+/// math — [`vector_similarity`] and the store's packed kernel
+/// ([`crate::index::ProfileIndex`], exact and ANN paths alike) both feed
+/// shared terms into an `Overlap` and call [`Overlap::score`].
+///
+/// f64 sums depend on order, so callers must push the shared terms in
+/// the same order to get the same bits: every caller walks the target
+/// vector `a` in term-string order ([`TermVector::iter`] order).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Overlap {
+    /// Surviving `(weight in a, weight in b)` pairs, in push order.
+    shared: Vec<(f64, f64)>,
+    /// Every shared term, surviving the discard rule or not: Jaccard is
+    /// about term *sets*, so the discard rule shrinks its numerator
+    /// (evidence), not its universe.
+    intersection: usize,
 }
 
-fn similarity_impl(
-    a: &TermVector,
-    b: &TermVector,
-    norms: Option<(f64, f64)>,
-    config: &SimilarityConfig,
-) -> f64 {
-    // Collect shared terms, applying the discard rule. `intersection`
-    // counts every shared term, surviving or not: Jaccard is about term
-    // *sets*, so the discard rule shrinks its numerator (evidence), not
-    // its universe.
-    let mut shared: Vec<(f64, f64)> = Vec::new();
-    let mut intersection = 0usize;
+impl Overlap {
+    /// Forget the previous pair (keeps the buffer).
+    pub(crate) fn clear(&mut self) {
+        self.shared.clear();
+        self.intersection = 0;
+    }
+
+    /// One term both vectors hold (both weights positive), applying the
+    /// discard rule.
+    pub(crate) fn push(&mut self, wa: f64, wb: f64, config: &SimilarityConfig) {
+        self.intersection += 1;
+        if let Some(threshold) = config.discard_threshold {
+            let ratio = if wa >= wb { wa / wb } else { wb / wa };
+            if ratio > threshold {
+                return; // Tx too different from Ty: discard this pair
+            }
+        }
+        self.shared.push((wa, wb));
+    }
+
+    /// The configured measure over the collected evidence. `a_len` and
+    /// `b_len` are the vectors' term counts; `norms` yields the product
+    /// of their Euclidean norms and is called only by cosine.
+    pub(crate) fn score(
+        &self,
+        a_len: usize,
+        b_len: usize,
+        norms: impl FnOnce() -> f64,
+        config: &SimilarityConfig,
+    ) -> f64 {
+        let shared = &self.shared;
+        if shared.len() < config.min_overlap {
+            return 0.0;
+        }
+        match config.method {
+            SimilarityMethod::Cosine => {
+                // Norms over the full vectors, dot over surviving pairs: a
+                // consumer with many unshared interests is less similar.
+                let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
+                let denom = norms();
+                if denom == 0.0 {
+                    0.0
+                } else {
+                    (dot / denom).clamp(0.0, 1.0)
+                }
+            }
+            SimilarityMethod::Pearson => {
+                let n = shared.len() as f64;
+                if shared.len() < 2 {
+                    return 0.0;
+                }
+                let mean_x = shared.iter().map(|(x, _)| x).sum::<f64>() / n;
+                let mean_y = shared.iter().map(|(_, y)| y).sum::<f64>() / n;
+                let mut cov = 0.0;
+                let mut var_x = 0.0;
+                let mut var_y = 0.0;
+                for (x, y) in shared {
+                    cov += (x - mean_x) * (y - mean_y);
+                    var_x += (x - mean_x).powi(2);
+                    var_y += (y - mean_y).powi(2);
+                }
+                let denom = (var_x * var_y).sqrt();
+                if denom == 0.0 {
+                    0.0
+                } else {
+                    (cov / denom).clamp(-1.0, 1.0)
+                }
+            }
+            SimilarityMethod::Jaccard => {
+                // |A ∪ B| = |A| + |B| − |A ∩ B| over *all* shared terms —
+                // using the post-discard survivor count here would inflate
+                // the union and deflate every Jaccard score.
+                let union = a_len + b_len - self.intersection;
+                if union == 0 {
+                    0.0
+                } else {
+                    shared.len() as f64 / union as f64
+                }
+            }
+        }
+    }
+}
+
+fn similarity_impl(a: &TermVector, b: &TermVector, config: &SimilarityConfig) -> f64 {
+    let mut overlap = Overlap::default();
     for (t, wa) in a.iter() {
         let wb = b.weight(t);
         if wb <= 0.0 {
             continue;
         }
-        intersection += 1;
-        if let Some(threshold) = config.discard_threshold {
-            let ratio = if wa >= wb { wa / wb } else { wb / wa };
-            if ratio > threshold {
-                continue; // Tx too different from Ty: discard this pair
-            }
-        }
-        shared.push((wa, wb));
+        overlap.push(wa, wb, config);
     }
-    if shared.len() < config.min_overlap {
-        return 0.0;
-    }
-    match config.method {
-        SimilarityMethod::Cosine => {
-            // Norms over the full vectors, dot over surviving pairs: a
-            // consumer with many unshared interests is less similar.
-            let dot: f64 = shared.iter().map(|(x, y)| x * y).sum();
-            let denom = match norms {
-                Some((na, nb)) => na * nb,
-                None => a.norm() * b.norm(),
-            };
-            if denom == 0.0 {
-                0.0
-            } else {
-                (dot / denom).clamp(0.0, 1.0)
-            }
-        }
-        SimilarityMethod::Pearson => {
-            let n = shared.len() as f64;
-            if shared.len() < 2 {
-                return 0.0;
-            }
-            let mean_x = shared.iter().map(|(x, _)| x).sum::<f64>() / n;
-            let mean_y = shared.iter().map(|(_, y)| y).sum::<f64>() / n;
-            let mut cov = 0.0;
-            let mut var_x = 0.0;
-            let mut var_y = 0.0;
-            for (x, y) in &shared {
-                cov += (x - mean_x) * (y - mean_y);
-                var_x += (x - mean_x).powi(2);
-                var_y += (y - mean_y).powi(2);
-            }
-            let denom = (var_x * var_y).sqrt();
-            if denom == 0.0 {
-                0.0
-            } else {
-                (cov / denom).clamp(-1.0, 1.0)
-            }
-        }
-        SimilarityMethod::Jaccard => {
-            // |A ∪ B| = |A| + |B| − |A ∩ B| over *all* shared terms —
-            // using the post-discard survivor count here would inflate
-            // the union and deflate every Jaccard score.
-            let union = a.len() + b.len() - intersection;
-            if union == 0 {
-                0.0
-            } else {
-                shared.len() as f64 / union as f64
-            }
-        }
-    }
+    overlap.score(a.len(), b.len(), || a.norm() * b.norm(), config)
 }
 
 /// Similarity between two consumer profiles: the configured measure over
@@ -359,25 +379,6 @@ mod tests {
             ..SimilarityConfig::default()
         };
         assert!((vector_similarity(&a, &b, &cfg) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_norms_variant_is_bitwise_identical() {
-        let a = TermVector::from_pairs([("x", 1.3), ("y", 0.2), ("z", 7.5)]);
-        let b = TermVector::from_pairs([("x", 0.9), ("z", 2.1), ("w", 4.0)]);
-        for method in [
-            SimilarityMethod::Cosine,
-            SimilarityMethod::Pearson,
-            SimilarityMethod::Jaccard,
-        ] {
-            let cfg = SimilarityConfig {
-                method,
-                ..SimilarityConfig::default()
-            };
-            let plain = vector_similarity(&a, &b, &cfg);
-            let cached = vector_similarity_with_norms(&a, a.norm(), &b, b.norm(), &cfg);
-            assert_eq!(plain.to_bits(), cached.to_bits());
-        }
     }
 
     #[test]

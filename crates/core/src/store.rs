@@ -8,11 +8,11 @@
 //! the tied-sale extension.
 
 use crate::ann::LshIndex;
-use crate::index::{FlatProfile, ItemSimCache, ProfileIndex};
+use crate::index::{FlatProfile, ItemSimCache, KernelScratch, ProfileIndex};
 use crate::learning::{BehaviorEvent, BehaviorKind, LearnerConfig, ProfileLearner};
 use crate::profile::{ConsumerId, Profile};
 use crate::ratings::RatingsMatrix;
-use crate::similarity::{vector_similarity_with_norms, SimilarityConfig};
+use crate::similarity::SimilarityConfig;
 use ecp::merchandise::{Catalog, ItemId, Merchandise};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -43,9 +43,10 @@ pub struct RecommendStore {
     /// kept in lock step with `index` by the incremental update paths
     /// and invalidated (rebuilt on next ANN query) by wholesale ones.
     ann: Mutex<Option<LshIndex>>,
-    /// Reusable candidate-id scratch so steady-state queries don't
-    /// allocate for candidate generation.
-    query_scratch: Mutex<Vec<u64>>,
+    /// Reusable similarity-kernel scratch (candidate ids, slot table,
+    /// shared pairs, top-k heap) so steady-state neighbour queries
+    /// allocate only their result.
+    query_scratch: Mutex<KernelScratch>,
 }
 
 impl Clone for RecommendStore {
@@ -61,7 +62,7 @@ impl Clone for RecommendStore {
             index: self.index.clone(),
             item_sims: Mutex::new(self.item_sims.lock().clone()),
             ann: Mutex::new(self.ann.lock().clone()),
-            query_scratch: Mutex::new(Vec::new()),
+            query_scratch: Mutex::new(KernelScratch::default()),
         }
     }
 }
@@ -99,7 +100,7 @@ impl Deserialize for RecommendStore {
             index,
             item_sims: Mutex::new(ItemSimCache::default()),
             ann: Mutex::new(None),
-            query_scratch: Mutex::new(Vec::new()),
+            query_scratch: Mutex::new(KernelScratch::default()),
         })
     }
 }
@@ -262,18 +263,21 @@ impl RecommendStore {
     }
 
     /// The `k` consumers most similar to `consumer`, best first —
-    /// identical output to running
+    /// identical output, bit for bit, to running
     /// [`crate::similarity::nearest_neighbours`] over
     /// [`Self::profiles`] minus the consumer themself, but served from
     /// the index: only consumers sharing at least one flattened term
     /// with the target are scored (lossless, because zero-overlap pairs
     /// score exactly `0.0` under every method and the default
-    /// `neighbour_floor` of `0.0` filters them), the flattened vectors
-    /// and norms come from the cache, and the ranking uses a bounded
-    /// top-k heap instead of a full sort. A negative
+    /// `neighbour_floor` of `0.0` filters them), scoring runs on the
+    /// interned packed vectors and cached norms (see
+    /// [`ProfileIndex`]'s kernel), and the ranking uses a bounded top-k
+    /// heap instead of a full sort. A negative
     /// [`SimilarityConfig::neighbour_floor`] admits zero-similarity
-    /// candidates, so pruning would be lossy — that case falls back to
-    /// scanning every cached flat profile.
+    /// candidates, so pruning would be lossy — that case scores every
+    /// indexed consumer. With [`SimilarityConfig::ann`] set the
+    /// candidates come from the LSH buckets instead; the same kernel
+    /// scores them.
     pub fn nearest_neighbours(
         &self,
         consumer: ConsumerId,
@@ -283,44 +287,22 @@ impl RecommendStore {
         let Some(target) = self.index.flat(consumer.0) else {
             return Vec::new();
         };
-        if config.neighbour_floor < 0.0 {
-            // pruning (posting-list or LSH) is lossy here: scan everyone
-            let candidates: Vec<u64> = self
-                .index
-                .flats()
-                .map(|(id, _)| id)
-                .filter(|id| *id != consumer.0)
-                .collect();
-            let scored = self.score_profile_candidates(target, &candidates, config);
-            return Self::finish_top_k(scored, k);
-        }
-        if let Some(ann_cfg) = config.ann {
-            // ANN path: candidates from LSH buckets, re-ranked with the
-            // exact measure over the packed vectors
-            let mut scratch = self.query_scratch.lock();
-            self.with_ann(&ann_cfg, |lsh| {
-                lsh.candidates(&target.vector, ann_cfg.probes, &mut scratch);
-            });
-            scratch.retain(|id| *id != consumer.0);
-            let scored = if let Some((tp, tnorm, tlen)) = self.index.packed(consumer.0) {
-                crate::ann::score_packed(&self.index, tp, tnorm, tlen, &scratch, config)
-            } else {
-                Vec::new()
-            };
-            return Self::finish_top_k(scored, k);
-        }
         let mut scratch = self.query_scratch.lock();
-        self.index.candidates_into(&target.vector, &mut scratch);
-        scratch.retain(|id| *id != consumer.0);
-        let scored = self.score_profile_candidates(target, &scratch, config);
-        Self::finish_top_k(scored, k)
-    }
-
-    fn finish_top_k(scored: Vec<(u64, f64)>, k: usize) -> Vec<(ConsumerId, f64)> {
-        crate::index::top_k(scored, k)
-            .into_iter()
-            .map(|(id, s)| (ConsumerId(id), s))
-            .collect()
+        let candidates = &mut scratch.candidates;
+        if config.neighbour_floor < 0.0 {
+            // pruning (posting-list or LSH) is lossy here: score everyone
+            candidates.clear();
+            candidates.extend(self.index.flats().map(|(id, _)| id));
+        } else if let Some(ann_cfg) = config.ann {
+            self.with_ann(&ann_cfg, |lsh| {
+                lsh.candidates(&target.vector, ann_cfg.probes, candidates);
+            });
+        } else {
+            self.index.candidates_of(consumer.0, candidates);
+        }
+        candidates.retain(|id| *id != consumer.0);
+        self.index
+            .top_neighbours(consumer.0, config, k, &mut scratch)
     }
 
     /// Run `f` against the LSH index for `cfg`, building (or rebuilding,
@@ -365,33 +347,6 @@ impl RecommendStore {
             config,
             k,
         )
-    }
-
-    fn score_profile_candidates(
-        &self,
-        target: &FlatProfile,
-        candidates: &[u64],
-        config: &SimilarityConfig,
-    ) -> Vec<(u64, f64)> {
-        let score_one = |id: &u64| -> Option<(u64, f64)> {
-            let flat = self.index.flat(*id)?;
-            let s = vector_similarity_with_norms(
-                &target.vector,
-                target.norm,
-                &flat.vector,
-                flat.norm,
-                config,
-            );
-            (s > config.neighbour_floor).then_some((*id, s))
-        };
-        #[cfg(feature = "parallel")]
-        if candidates.len() >= 64 {
-            return crate::index::par_map(candidates, score_one)
-                .into_iter()
-                .flatten()
-                .collect();
-        }
-        candidates.iter().filter_map(score_one).collect()
     }
 
     /// [`crate::itemcf::item_cosine`] served through the store's
@@ -597,8 +552,9 @@ mod tests {
                     .iter()
                     .find(|(fid, _)| fid == id)
                     .unwrap_or_else(|| panic!("ANN neighbour {id} not in exact scan"));
-                assert!(
-                    (reference.1 - score).abs() < 1e-12,
+                assert_eq!(
+                    reference.1.to_bits(),
+                    score.to_bits(),
                     "re-rank score drifted for {id}: {} vs {}",
                     reference.1,
                     score

@@ -120,8 +120,9 @@ fn exact_path_matches_naive_oracle_at_scale() {
 }
 
 /// ANN answers are always a subset of the exact scan's admitted
-/// candidates, with scores agreeing to 1e-9 — the index can miss
-/// neighbours but never invent or mis-score them.
+/// candidates, with bit-identical scores (both paths score on the same
+/// kernel) — the index can miss neighbours but never invent or mis-score
+/// them.
 #[test]
 fn ann_results_are_subset_of_exact_with_matching_scores() {
     let users = ann_users();
@@ -143,8 +144,9 @@ fn ann_results_are_subset_of_exact_with_matching_scores() {
             let reference = exact
                 .get(&c.0)
                 .unwrap_or_else(|| panic!("ANN invented {c} for user {user}"));
-            assert!(
-                (reference - s).abs() < 1e-9,
+            assert_eq!(
+                reference.to_bits(),
+                s.to_bits(),
                 "score mismatch for {c}: ann {s} vs exact {reference}"
             );
         }

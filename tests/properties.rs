@@ -623,8 +623,9 @@ proptest! {
                     reference.is_some(),
                     "ANN invented neighbour {} (score {}) absent from the exact scan", c, s
                 );
-                prop_assert!(
-                    (reference.unwrap() - s).abs() < 1e-9,
+                prop_assert_eq!(
+                    reference.unwrap().to_bits(),
+                    s.to_bits(),
                     "ANN score {} for {} disagrees with exact {}", s, c, reference.unwrap()
                 );
             }
@@ -640,6 +641,159 @@ proptest! {
                     "exhaustive probing missed {} (score {}) for {}", c, s, user
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    /// Durable purchase-intent ids from distinct `(BRA, sequence)`
+    /// pairs never collide, on any shard; parts too wide for the id are
+    /// refused rather than wrapped.
+    #[test]
+    fn intent_ids_never_collide_across_bras_and_sequences(
+        a in (0u64..300, 0u64..1 << 33, 0u64..1 << 25),
+        b in (0u64..300, 0u64..1 << 33, 0u64..1 << 25),
+        near_wrap in 0u64..70_000,
+    ) {
+        use abcrm::agentsim::ids::{AgentId, SHARD_ID_SHIFT};
+        use abcrm::core::agents::bra::intent_id;
+        let bra = |(shard, local, _): (u64, u64, u64)| AgentId((shard << SHARD_ID_SHIFT) | local);
+        let fits = |(shard, local, seq): (u64, u64, u64)| shard < 256 && local < 1 << 32 && seq < 1 << 24;
+        // sequence numbers either side of the old 16-bit wrap
+        let c = (a.0 % 256, a.1 & 0xFFFF_FFFF, near_wrap);
+        let d = (c.0, c.1, near_wrap + 65_536);
+        let pairs = [
+            (a, b),
+            (c, d),
+            (a, (a.0, a.1, a.2 ^ 1)),
+            (a, (a.0, a.1 ^ 1, a.2)),
+            (a, (a.0 ^ 1, a.1, a.2)),
+        ];
+        for (x, y) in pairs {
+            let (ix, iy) = (intent_id(bra(x), x.2), intent_id(bra(y), y.2));
+            prop_assert_eq!(ix.is_some(), fits(x));
+            prop_assert_eq!(iy.is_some(), fits(y));
+            if let (Some(ix), Some(iy)) = (ix, iy) {
+                prop_assert_eq!(ix == iy, x == y, "{:?} and {:?} share id {:#x}", x, y, ix);
+            }
+        }
+    }
+}
+
+/// Terms of the summation-order property, and the magnitudes their
+/// weights are drawn at: sums of products near 1e16, 1 and 1e-16 round
+/// differently in different orders.
+const ORDER_TERMS: [&str; 10] = [
+    "apple", "bolt", "cedar", "dune", "ember", "fjord", "grove", "harp", "iris", "jade",
+];
+const ORDER_MAGNITUDES: [f64; 3] = [1e8, 1.0, 1e-8];
+
+/// A profile over [`ORDER_TERMS`] from `(term, magnitude, mantissa,
+/// sub-category)` draws.
+fn order_profile(terms: &[(usize, usize, f64, usize)]) -> Profile {
+    let mut p = Profile::new();
+    for (t, m, w, sub) in terms {
+        p.category_mut("c")
+            .sub_mut(&format!("s{sub}"))
+            .set(ORDER_TERMS[*t], ORDER_MAGNITUDES[*m] * w);
+    }
+    p
+}
+
+/// Every measure the summation-order property checks, with and without
+/// the discard rule, plus the negative-floor full scan.
+fn order_configs() -> Vec<SimilarityConfig> {
+    use abcrm::core::similarity::SimilarityMethod;
+    let mut configs = Vec::new();
+    for method in [
+        SimilarityMethod::Cosine,
+        SimilarityMethod::Pearson,
+        SimilarityMethod::Jaccard,
+    ] {
+        for discard_threshold in [Some(4.0), None] {
+            configs.push(SimilarityConfig {
+                method,
+                discard_threshold,
+                ..SimilarityConfig::default()
+            });
+        }
+    }
+    configs.push(SimilarityConfig {
+        method: SimilarityMethod::Pearson,
+        discard_threshold: None,
+        neighbour_floor: -1.5,
+        ..SimilarityConfig::default()
+    });
+    configs
+}
+
+proptest! {
+    /// The indexed neighbour search sums each pair's shared terms in
+    /// term-string order, the order of the reference scan — so its
+    /// scores equal `nearest_neighbours_naive`'s bit for bit even when
+    /// term ids were interned in non-lexicographic order and the
+    /// weights mix magnitudes whose f64 sum depends on order. Checked
+    /// after `put_profile`/`record_event` churn and again after
+    /// `decay_all_profiles` (which re-interns every term). A kernel
+    /// that summed in term-id order fails this.
+    #[test]
+    fn indexed_neighbours_sum_in_term_order_whatever_the_interning_order(
+        puts in proptest::collection::vec(
+            (
+                1u64..8,
+                proptest::collection::vec((0usize..10, 0usize..3, 1.0f64..2.0, 0usize..2), 1..8),
+            ),
+            1..14,
+        ),
+        events in proptest::collection::vec((1u64..8, 1u64..5, 0u8..3), 0..20),
+        decay in 0.3f64..0.99,
+    ) {
+        use abcrm::core::store::RecommendStore;
+        use abcrm::ecp::merchandise::{Merchandise, Money};
+
+        let mut store = RecommendStore::new();
+        // first sight interns a term: show them in reverse lexicographic
+        // order so term-id order is the opposite of term-string order
+        for t in (0..ORDER_TERMS.len()).rev() {
+            store.put_profile(ConsumerId(99), order_profile(&[(t, 1, 1.0, 0)]));
+        }
+        for id in 1..=4u64 {
+            let t = (id as usize * 3) % ORDER_TERMS.len();
+            store.upsert_item(Merchandise {
+                id: ItemId(id),
+                name: format!("item{id}"),
+                category: CategoryPath::new("c", format!("s{}", id % 2)),
+                terms: TermVector::from_pairs([
+                    (ORDER_TERMS[t], 1e8 * (1.0 + id as f64 / 7.0)),
+                    (ORDER_TERMS[(t + 1) % ORDER_TERMS.len()], 1.0 + id as f64 / 3.0),
+                    (ORDER_TERMS[(t + 5) % ORDER_TERMS.len()], 1e-8 * id as f64),
+                ]),
+                list_price: Money::from_units(10),
+                seller: 1,
+            });
+        }
+        let kinds = [BehaviorKind::Browse, BehaviorKind::Query, BehaviorKind::Purchase];
+        for (consumer, terms) in &puts {
+            store.put_profile(ConsumerId(*consumer), order_profile(terms));
+        }
+        for (consumer, item, kind) in &events {
+            store.record_event(ConsumerId(*consumer), ItemId(*item), kinds[*kind as usize]);
+        }
+        let bits = |nn: Vec<(ConsumerId, f64)>| -> Vec<(u64, u64)> {
+            nn.into_iter().map(|(c, s)| (c.0, s.to_bits())).collect()
+        };
+        for round in ["after churn", "after decay"] {
+            for cfg in order_configs() {
+                for consumer in (1..8u64).chain([99]) {
+                    let c = ConsumerId(consumer);
+                    prop_assert_eq!(
+                        bits(store.nearest_neighbours(c, &cfg, 100)),
+                        bits(store.nearest_neighbours_naive(c, &cfg, 100)),
+                        "{} {:?}: consumer {}", round, cfg.method, consumer
+                    );
+                }
+            }
+            store.decay_all_profiles(decay);
         }
     }
 }
